@@ -16,6 +16,12 @@ echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q
 
+# The benchmark package (wsbench/) builds against the repo crates by
+# path, so renaming any public name it uses fails here rather than in a
+# benchmark run.
+echo "== benchmark package build"
+cargo build --release --offline --manifest-path wsbench/Cargo.toml
+
 # Execution-mode matrix: the equivalence suites must pass at both the
 # serial baseline and a wide pool, with delta maintenance off and on and
 # adaptive re-planning off and on — incremental and adaptive firings are

@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 use wukong_bench::{
-    ls_workload, print_header, print_row, seed_from_env, BenchJson, LsWorkload, Scale,
+    ls_workload, print_header, print_row, seed_from_env, BenchJson, FiringDigest, LsWorkload, Scale,
 };
 use wukong_benchdata::{lsbench, TimedTuple};
 use wukong_core::{EngineConfig, Firing, OverloadPolicy, RecoveryManager, WukongS};
@@ -55,23 +55,17 @@ type FiringMap = BTreeMap<FiringKey, Collected>;
 
 /// FNV-1a fingerprint of a firing map, for the convergence report.
 fn fingerprint(map: &FiringMap) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u64| {
-        for byte in b.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = FiringDigest::new();
     for ((q, end), c) in map {
-        eat(*q as u64);
-        eat(*end);
+        h.push(*q as u64);
+        h.push(*end);
         for row in &c.rows {
             for v in row {
-                eat(v.0);
+                h.push(v.0);
             }
         }
     }
-    h
+    h.value()
 }
 
 /// Folds firings into the map. An unmarked re-fire of an unmarked window
@@ -420,7 +414,7 @@ fn main() {
 
     if let Some(out) = &last {
         jr.recovery(&out.report);
-        jr.integrity(&out.integrity);
+        jr.counter_set(&out.integrity);
     }
     jr.counter("schedules", schedules as f64);
     jr.counter("marked_firings", marked_total as f64);

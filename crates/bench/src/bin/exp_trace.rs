@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 use wukong_bench::{
-    ls_workload, print_header, print_row, seed_from_env, BenchJson, LsWorkload, Scale,
+    ls_workload, print_header, print_row, seed_from_env, BenchJson, FiringDigest, LsWorkload, Scale,
 };
 use wukong_core::{EngineConfig, WukongS};
 use wukong_net::FaultPlan;
@@ -87,43 +87,37 @@ fn build(w: &LsWorkload, workers: usize, trace_on: bool, plan: Option<FaultPlan>
 /// Feeds the shared timeline, firing every [`FIRE_EVERY`] tuples, and
 /// fingerprints the firings.
 fn drive(engine: &WukongS, w: &LsWorkload) -> (RunOutcome, u64) {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u64| {
-        for byte in b.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = FiringDigest::new();
     let mut firings = 0u64;
     let mut total_ms = 0.0;
-    let mut fire = |fired: Vec<wukong_core::Firing>, eat: &mut dyn FnMut(u64)| {
+    let mut fire = |fired: Vec<wukong_core::Firing>| {
         for f in fired {
             firings += 1;
             total_ms += f.latency_ms;
-            eat(f.query as u64);
-            eat(f.window_end);
+            h.push(f.query as u64);
+            h.push(f.window_end);
             let mut rows = f.results.rows;
             rows.sort();
             for row in &rows {
                 for v in row {
-                    eat(v.0);
+                    h.push(v.0);
                 }
             }
         }
     };
     for (i, t) in w.timeline.iter().enumerate() {
         if i > 0 && i % FIRE_EVERY == 0 {
-            fire(engine.fire_ready(), &mut eat);
+            fire(engine.fire_ready());
         }
         engine.ingest(t.stream, t.triple, t.timestamp);
     }
     engine.advance_time(w.duration);
-    fire(engine.fire_ready(), &mut eat);
+    fire(engine.fire_ready());
     let trace = engine.handle().trace_snapshot();
     let corrupted = engine.handle().fault_counters().msgs_corrupted;
     (
         RunOutcome {
-            fingerprint: h,
+            fingerprint: h.value(),
             firings,
             total_ms,
             trace,
@@ -305,7 +299,7 @@ fn main() {
             },
         ]);
         if workers == 4 {
-            jr.trace(&on.trace);
+            jr.counter_set(&on.trace);
             jr.counter("overhead_ratio", ratio);
             jr.counter("modeled_ms_on", on.total_ms);
             jr.counter("modeled_ms_off", off.total_ms);

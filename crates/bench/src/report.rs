@@ -5,34 +5,12 @@ use std::path::PathBuf;
 
 use wukong_core::metrics::LatencyRecorder;
 use wukong_core::{RecoveryReport, WukongS};
-use wukong_obs::{
-    FaultSnapshot, HistogramSnapshot, IncrementalSnapshot, IntegritySnapshot, Json,
-    OverloadSnapshot, PlanSnapshot, PoolSnapshot, RegistrySnapshot, TraceSnapshot,
-};
+use wukong_obs::{CounterSet, HistogramSnapshot, Json, RegistrySnapshot};
 
 /// Version stamped into every JSON report as `schema_version`. Bump when
 /// the document layout changes incompatibly.
 ///
-/// Version history: 1 = initial layout; 2 = added the `faults` and
-/// `recovery` top-level members (fault-injection counters and
-/// checkpoint-replay metrics); 3 = added the `pool` top-level member
-/// (worker-pool counters: regions, tasks, steals, queue depth, serial
-/// vs modeled busy time); 4 = added the `incremental` top-level member
-/// (delta-maintenance counters: maintained / rebuild / fallback firings
-/// and rows reused vs recomputed vs retracted); 5 = added the `overload`
-/// top-level member (bounded-ingest counters: shed events, tuples shed,
-/// admission rejections, state transitions, catch-up replays, degraded
-/// firings); 6 = added the `plan` top-level member (adaptive-planning
-/// counters: plan-cache hits/misses, feedback firings, drift, re-plans,
-/// delta rebuilds, cost-model mode decisions, and the modeled
-/// `edges_traversed` work metric); 7 = added the `integrity` top-level
-/// member (state-integrity counters: per-site checksum failures,
-/// scrubber violations, quarantines, rebuilds) and extended `recovery`
-/// with `integrity_violations` and `quarantined_shards`; 8 = added the
-/// `trace` top-level member (flight-recorder counters: enabled, events
-/// recorded/evicted, firings minted, anomaly dumps held/suppressed) and
-/// extended `recovery` with `replayed_batch_ids` (causal batch labels of
-/// the replayed log, capped at the first 32).
+/// Version history: DESIGN.md §7 ("JSON report schema").
 pub const JSON_SCHEMA_VERSION: u64 = 8;
 
 /// Collects an experiment's machine-readable results and writes them as
@@ -40,61 +18,11 @@ pub const JSON_SCHEMA_VERSION: u64 = 8;
 /// `--json <path>`. When the flag is absent every method is a cheap
 /// no-op, so binaries record unconditionally.
 ///
-/// Document layout (`schema_version` 8):
-///
-/// ```json
-/// {
-///   "schema_version": 8,
-///   "experiment": "table2_latency_single",
-///   "latency_ms": { "<series>": {"samples", "p50", "p90", "p99", "p999", "mean"} },
-///   "counters":   { "<name>": <number> },
-///   "fabric":     { "one_sided_reads", "messages", "bytes_read", "bytes_sent", "charged_ns" },
-///   "faults":     { "msgs_dropped", "retransmits", "rpc_timeouts", ... },
-///   "recovery":   { "recovery_ms", "replayed_batches", "replayed_queries",
-///                   "dedup_suppressed", "restored_stable_sn",
-///                   "integrity_violations", "quarantined_shards",
-///                   "replayed_batch_ids" },
-///   "pool":       { "tasks", "regions", "steals", "max_queue_depth",
-///                   "serial_busy_ns", "modeled_busy_ns", "region_wall_ns" },
-///   "incremental": { "incremental_firings", "rebuild_firings", "fallback_firings",
-///                    "rows_reused", "rows_recomputed", "rows_retracted" },
-///   "overload":   { "sheds_drop_oldest", "sheds_sampled", "tuples_shed",
-///                   "admission_rejected", "state_transitions", "catchup_replays",
-///                   "catchup_replayed_tuples", "degraded_firings",
-///                   "incremental_rebuilds" },
-///   "plan":       { "cache_hits", "cache_misses", "feedback_firings",
-///                   "drifted_firings", "replans", "delta_rebuilds",
-///                   "mode_inplace", "mode_forkjoin", "edges_traversed" },
-///   "integrity":  { "checksum_fail_batch", "checksum_fail_message",
-///                   "checksum_fail_checkpoint", "scrub_violations",
-///                   "quarantines", "rebuilds", "rebuild_ns" },
-///   "trace":      { "enabled", "events", "evicted", "firings",
-///                   "dumps", "dumps_suppressed" },
-///   "stages": {
-///     "queries": { "<class>":  { "end_to_end_ns": {...}, "<stage>": {...} } },
-///     "streams": { "<stream>": { "<stage>": {...} } }
-///   }
-/// }
-/// ```
-///
-/// `faults` carries every [`FaultSnapshot`] counter (all zero in a
-/// fault-free run); `recovery` stays an empty object unless the
-/// experiment performed a recovery and called [`BenchJson::recovery`];
-/// `pool` carries the worker-pool counters of the captured engine (all
-/// zero when every region ran on a single lane — see `wukong-net`'s
-/// `WorkerPool` for the modeled-time cost model); `incremental` carries
-/// the delta-maintenance counters (all zero unless the engine ran with
-/// `EngineConfig::incremental`); `overload` carries the bounded-ingest
-/// counters (all zero unless the engine ran with
-/// `EngineConfig::ingest_budget`); `plan` carries the adaptive-planning
-/// counters (`edges_traversed` accumulates in every run; the rest stay
-/// zero unless the engine ran with `EngineConfig::adaptive`);
-/// `integrity` carries the state-integrity counters (all zero unless
-/// corruption was detected, a shard was quarantined, or the scrubber
-/// found a violated invariant).
-///
-/// where every `{...}` stage/histogram entry carries
-/// `{"count", "sum_ns", "p50_ns", "p99_ns"}`.
+/// The document layout — every member, its keys, and when each is
+/// all-zero or empty — is specified in DESIGN.md §7 ("JSON report
+/// schema"). Every counter-family member is written by the one
+/// [`BenchJson::counter_set`] writer, so its keys are exactly the
+/// family's declared counter table.
 pub struct BenchJson {
     path: Option<PathBuf>,
     doc: Json,
@@ -220,8 +148,9 @@ impl BenchJson {
         self.member("counters").set(name, Json::from(value));
     }
 
-    /// Records the fault-injection counters (usually an interval delta).
-    pub fn faults(&mut self, snap: &FaultSnapshot) {
+    /// Records one counter family (usually an interval delta) as its
+    /// report member, keyed by the family's counter names.
+    pub fn counter_set<S: CounterSet>(&mut self, snap: &S) {
         if !self.active() {
             return;
         }
@@ -229,70 +158,7 @@ impl BenchJson {
         for (name, v) in snap.entries() {
             o.set(name, Json::from(v));
         }
-        *self.member("faults") = o;
-    }
-
-    /// Records the worker-pool counters (usually an interval delta).
-    pub fn pool(&mut self, snap: &PoolSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("pool") = o;
-    }
-
-    /// Records the delta-maintenance counters (usually an interval
-    /// delta).
-    pub fn incremental(&mut self, snap: &IncrementalSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("incremental") = o;
-    }
-
-    /// Records the bounded-ingest / load-shedding counters (usually an
-    /// interval delta).
-    pub fn overload(&mut self, snap: &OverloadSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("overload") = o;
-    }
-
-    /// Records the adaptive-planning counters (usually an interval
-    /// delta).
-    pub fn plan(&mut self, snap: &PlanSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("plan") = o;
-    }
-
-    /// Records the state-integrity counters (usually an interval delta).
-    pub fn integrity(&mut self, snap: &IntegritySnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("integrity") = o;
+        *self.member(S::MEMBER) = o;
     }
 
     /// Records a recovery's replay metrics.
@@ -323,18 +189,6 @@ impl BenchJson {
         *self.member("recovery") = o;
     }
 
-    /// Records the flight-recorder counters (engine-lifetime totals).
-    pub fn trace(&mut self, snap: &TraceSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("trace") = o;
-    }
-
     /// Captures an engine's fabric counters, operational counters, and
     /// staged latency breakdown.
     pub fn engine(&mut self, engine: &WukongS) {
@@ -342,13 +196,7 @@ impl BenchJson {
             return;
         }
         let stats = engine.stats();
-        let mut fabric = Json::object();
-        fabric.set("one_sided_reads", Json::from(stats.fabric.one_sided_reads));
-        fabric.set("messages", Json::from(stats.fabric.messages));
-        fabric.set("bytes_read", Json::from(stats.fabric.bytes_read));
-        fabric.set("bytes_sent", Json::from(stats.fabric.bytes_sent));
-        fabric.set("charged_ns", Json::from(stats.fabric.charged_ns));
-        *self.member("fabric") = fabric;
+        self.counter_set(&stats.fabric);
         for (name, v) in [
             ("nodes", stats.nodes as f64),
             ("streams", stats.streams as f64),
@@ -362,14 +210,16 @@ impl BenchJson {
         ] {
             self.counter(name, v);
         }
-        self.faults(&engine.handle().fault_counters());
-        self.pool(&engine.handle().obs().pool().snapshot());
-        self.incremental(&engine.handle().obs().incremental().snapshot());
-        self.overload(&engine.handle().obs().overload().snapshot());
-        self.plan(&engine.handle().obs().plan().snapshot());
-        self.integrity(&engine.handle().obs().integrity().snapshot());
-        self.trace(&engine.handle().trace_snapshot());
-        *self.member("stages") = stages_json(&engine.handle().obs_snapshot());
+        let handle = engine.handle();
+        let obs = handle.obs();
+        self.counter_set(&handle.fault_counters());
+        self.counter_set(&obs.pool().snapshot());
+        self.counter_set(&obs.incremental().snapshot());
+        self.counter_set(&obs.overload().snapshot());
+        self.counter_set(&obs.plan().snapshot());
+        self.counter_set(&obs.integrity().snapshot());
+        self.counter_set(&handle.trace_snapshot());
+        *self.member("stages") = stages_json(&handle.obs_snapshot());
     }
 
     /// The document built so far (tests).
@@ -394,6 +244,7 @@ impl BenchJson {
 #[cfg(test)]
 mod bench_json_tests {
     use super::*;
+    use wukong_obs::counters::Counter;
 
     #[test]
     fn inactive_sink_is_a_noop() {
@@ -438,10 +289,76 @@ mod bench_json_tests {
         }
     }
 
+    /// Checks one counter family end to end: its generated code against
+    /// its table, a bumped snapshot written by [`BenchJson::counter_set`]
+    /// (keys and values exactly its `entries()`), and its member in the
+    /// `engine_doc` written by [`BenchJson::engine`] (same key set).
+    fn check_family<C: Default, S: CounterSet>(
+        table: &[Counter<C>],
+        snapshot: fn(&C) -> S,
+        delta: fn(&S, &S) -> S,
+        engine_doc: &Json,
+    ) {
+        wukong_obs::counters::check_family(table, snapshot, delta);
+        let c = C::default();
+        for (i, (_, _, record)) in table.iter().enumerate() {
+            record(&c, i as u64 + 1);
+        }
+        let entries = snapshot(&c).entries();
+        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
+        j.counter_set(&snapshot(&c));
+        let member = j.document().get(S::MEMBER).and_then(Json::as_obj);
+        let written: Vec<_> = member
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_u64()))
+            .collect();
+        let mut want: Vec<_> = entries.iter().map(|(k, v)| (*k, Some(*v))).collect();
+        want.sort();
+        assert_eq!(written, want, "{} written by counter_set", S::MEMBER);
+        let text = j.document().to_string_pretty();
+        assert_eq!(&wukong_obs::json::parse(&text).unwrap(), j.document());
+        assert_member_keys::<S>(engine_doc, &entries);
+    }
+
+    fn assert_member_keys<S: CounterSet>(doc: &Json, entries: &[(&'static str, u64)]) {
+        let member = doc.get(S::MEMBER).and_then(Json::as_obj);
+        let keys: Vec<_> = member.unwrap().keys().map(String::as_str).collect();
+        let mut want: Vec<_> = entries.iter().map(|(k, _)| *k).collect();
+        want.sort();
+        assert_eq!(keys, want, "{} written by engine", S::MEMBER);
+    }
+
+    #[test]
+    fn every_counter_family_round_trips() {
+        use wukong_net::{FabricMetrics, MetricsSnapshot};
+        use wukong_obs::*;
+        let engine = WukongS::new(wukong_core::EngineConfig::single_node());
+        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
+        j.engine(&engine);
+        let doc = j.document();
+        macro_rules! check {
+            ($($counters:ident => $snapshot:ident),*) => {$(
+                check_family($counters::TABLE, $counters::snapshot, $snapshot::delta, doc);
+            )*};
+        }
+        check!(
+            FabricMetrics => MetricsSnapshot,
+            FaultCounters => FaultSnapshot,
+            PoolCounters => PoolSnapshot,
+            IncrementalCounters => IncrementalSnapshot,
+            OverloadCounters => OverloadSnapshot,
+            PlanCounters => PlanSnapshot,
+            IntegrityCounters => IntegritySnapshot
+        );
+        let trace = engine.handle().trace_snapshot();
+        assert_member_keys::<TraceSnapshot>(doc, &trace.entries());
+    }
+
     #[test]
     fn plan_section_round_trips() {
         let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
-        let snap = PlanSnapshot {
+        let snap = wukong_obs::PlanSnapshot {
             cache_hits: 12,
             cache_misses: 3,
             feedback_firings: 40,
@@ -452,7 +369,7 @@ mod bench_json_tests {
             mode_forkjoin: 5,
             edges_traversed: 7_000,
         };
-        j.plan(&snap);
+        j.counter_set(&snap);
         let p = j.document().get("plan").unwrap();
         assert_eq!(p.get("cache_hits").and_then(Json::as_u64), Some(12));
         assert_eq!(p.get("cache_misses").and_then(Json::as_u64), Some(3));
@@ -472,7 +389,7 @@ mod bench_json_tests {
     #[test]
     fn overload_section_round_trips() {
         let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
-        let snap = OverloadSnapshot {
+        let snap = wukong_obs::OverloadSnapshot {
             sheds_drop_oldest: 4,
             tuples_shed: 320,
             admission_rejected: 2,
@@ -482,7 +399,7 @@ mod bench_json_tests {
             degraded_firings: 9,
             ..Default::default()
         };
-        j.overload(&snap);
+        j.counter_set(&snap);
         let o = j.document().get("overload").unwrap();
         assert_eq!(o.get("sheds_drop_oldest").and_then(Json::as_u64), Some(4));
         assert_eq!(o.get("tuples_shed").and_then(Json::as_u64), Some(320));
@@ -500,7 +417,7 @@ mod bench_json_tests {
     #[test]
     fn incremental_section_round_trips() {
         let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
-        let snap = IncrementalSnapshot {
+        let snap = wukong_obs::IncrementalSnapshot {
             incremental_firings: 30,
             rebuild_firings: 1,
             fallback_firings: 2,
@@ -508,7 +425,7 @@ mod bench_json_tests {
             rows_recomputed: 120,
             rows_retracted: 110,
         };
-        j.incremental(&snap);
+        j.counter_set(&snap);
         let i = j.document().get("incremental").unwrap();
         assert_eq!(
             i.get("incremental_firings").and_then(Json::as_u64),
@@ -524,7 +441,7 @@ mod bench_json_tests {
     #[test]
     fn pool_section_round_trips() {
         let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
-        let snap = PoolSnapshot {
+        let snap = wukong_obs::PoolSnapshot {
             tasks: 40,
             regions: 5,
             steals: 3,
@@ -533,7 +450,7 @@ mod bench_json_tests {
             modeled_busy_ns: 300,
             region_wall_ns: 1_200,
         };
-        j.pool(&snap);
+        j.counter_set(&snap);
         let p = j.document().get("pool").unwrap();
         assert_eq!(p.get("tasks").and_then(Json::as_u64), Some(40));
         assert_eq!(p.get("regions").and_then(Json::as_u64), Some(5));
@@ -545,14 +462,43 @@ mod bench_json_tests {
     }
 
     #[test]
+    fn integrity_section_round_trips() {
+        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
+        let snap = wukong_obs::IntegritySnapshot {
+            checksum_fail_batch: 1,
+            checksum_fail_message: 5,
+            checksum_fail_checkpoint: 2,
+            scrub_violations: 0,
+            quarantines: 3,
+            rebuilds: 3,
+            rebuild_ns: 42_000,
+        };
+        j.counter_set(&snap);
+        let i = j.document().get("integrity").unwrap();
+        assert_eq!(i.get("checksum_fail_batch").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            i.get("checksum_fail_message").and_then(Json::as_u64),
+            Some(5)
+        );
+        assert_eq!(
+            i.get("checksum_fail_checkpoint").and_then(Json::as_u64),
+            Some(2)
+        );
+        assert_eq!(i.get("scrub_violations").and_then(Json::as_u64), Some(0));
+        assert_eq!(i.get("quarantines").and_then(Json::as_u64), Some(3));
+        assert_eq!(i.get("rebuilds").and_then(Json::as_u64), Some(3));
+        assert_eq!(i.get("rebuild_ns").and_then(Json::as_u64), Some(42_000));
+    }
+
+    #[test]
     fn faults_and_recovery_sections_round_trip() {
         let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
-        let snap = FaultSnapshot {
+        let snap = wukong_obs::FaultSnapshot {
             msgs_dropped: 7,
             retransmits: 7,
             ..Default::default()
         };
-        j.faults(&snap);
+        j.counter_set(&snap);
         let rep = RecoveryReport {
             recovery_ms: 1.25,
             replayed_batches: 40,
@@ -584,35 +530,6 @@ mod bench_json_tests {
         assert_eq!(ids.len(), 2);
         assert_eq!(ids[0].as_str(), Some("s0@100"));
         assert_eq!(ids[1].as_str(), Some("s1@200"));
-    }
-
-    #[test]
-    fn integrity_section_round_trips() {
-        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
-        let snap = IntegritySnapshot {
-            checksum_fail_batch: 1,
-            checksum_fail_message: 5,
-            checksum_fail_checkpoint: 2,
-            scrub_violations: 0,
-            quarantines: 3,
-            rebuilds: 3,
-            rebuild_ns: 42_000,
-        };
-        j.integrity(&snap);
-        let i = j.document().get("integrity").unwrap();
-        assert_eq!(i.get("checksum_fail_batch").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            i.get("checksum_fail_message").and_then(Json::as_u64),
-            Some(5)
-        );
-        assert_eq!(
-            i.get("checksum_fail_checkpoint").and_then(Json::as_u64),
-            Some(2)
-        );
-        assert_eq!(i.get("scrub_violations").and_then(Json::as_u64), Some(0));
-        assert_eq!(i.get("quarantines").and_then(Json::as_u64), Some(3));
-        assert_eq!(i.get("rebuilds").and_then(Json::as_u64), Some(3));
-        assert_eq!(i.get("rebuild_ns").and_then(Json::as_u64), Some(42_000));
     }
 }
 /// Formats milliseconds the way the paper's tables do: two decimals below

@@ -456,10 +456,10 @@ impl WukongS {
         if shed > 0 {
             let overload = self.cluster.obs().overload();
             match pl.shedder.policy() {
-                wukong_stream::ShedPolicy::DropOldestWindow => overload.inc_shed_drop_oldest(),
-                wukong_stream::ShedPolicy::SampleWithinBatch => overload.inc_shed_sampled(),
+                wukong_stream::ShedPolicy::DropOldestWindow => overload.sheds_drop_oldest(1),
+                wukong_stream::ShedPolicy::SampleWithinBatch => overload.sheds_sampled(1),
             }
-            overload.add_tuples_shed(shed);
+            overload.tuples_shed(shed);
             // Every shed event is a point marker joined on the victim
             // batch's causal ID; the episode *start* (the Normal →
             // Shedding transition) is the anomaly that freezes the
@@ -470,7 +470,7 @@ impl WukongS {
             }
             if pl.overload == OverloadState::Normal {
                 pl.overload = OverloadState::Shedding;
-                overload.inc_state_transition();
+                overload.state_transitions(1);
                 let first = pl.shedder.log()[shed_log_before..]
                     .first()
                     .map(|r| r.batch)
@@ -541,7 +541,7 @@ impl WukongS {
             .span(Stage::CatchUp, FiringId::NONE, BatchId::NONE);
         let overload = self.cluster.obs().overload();
         pl.overload = OverloadState::CatchUp;
-        overload.inc_state_transition();
+        overload.state_transitions(1);
 
         let retained = pl.shedder.take_retained();
         let sn = pl.coordinator.stable_sn();
@@ -644,17 +644,17 @@ impl WukongS {
                 let mut delta = r.delta.lock();
                 if delta.is_some() {
                     *delta = None;
-                    overload.inc_incremental_rebuild();
+                    overload.incremental_rebuilds(1);
                 }
             }
         }
 
-        overload.inc_catchup_replay();
-        overload.add_replayed_tuples(replayed);
+        overload.catchup_replays(1);
+        overload.catchup_replayed_tuples(replayed);
         pl.overload = OverloadState::Normal;
         pl.miss_streak = 0;
         pl.tripped_at = None;
-        overload.inc_state_transition();
+        overload.state_transitions(1);
         self.cluster.obs().record_stream_stage(
             "catch-up",
             Stage::CatchUp,
@@ -764,7 +764,7 @@ impl WukongS {
         // the stream's VTS at the previous batch — detection before
         // emission — and recovery replays the pristine logged copy.
         if !batch.verify() {
-            self.cluster.obs().integrity().inc_checksum_fail_batch();
+            self.cluster.obs().integrity().checksum_fail_batch(1);
             tracer.anomaly(Marker::ChecksumFail, FiringId::NONE, bid, 0);
             return;
         }
@@ -773,7 +773,7 @@ impl WukongS {
         // redelivery (upstream retry, log replay into a live engine)
         // must be a no-op.
         if batch.timestamp > 0 && pl.coordinator.stable_vts().get(s) >= batch.timestamp {
-            self.cluster.obs().faults().inc_dedup_suppressed();
+            self.cluster.obs().faults().dedup_suppressed(1);
             return;
         }
         let stream = self.cluster.stream(s);
@@ -837,7 +837,7 @@ impl WukongS {
                     self.cluster
                         .obs()
                         .faults()
-                        .add_dedup_suppressed(u64::from(copies - 1));
+                        .dedup_suppressed(u64::from(copies - 1));
                 }
             } else {
                 fabric.charge_message(entry, to, sub.wire_bytes(), &mut scratch);
@@ -875,11 +875,11 @@ impl WukongS {
             let node = sub.node as usize;
             if delivered[node] && !sub.verify() {
                 let integrity = self.cluster.obs().integrity();
-                integrity.inc_checksum_fail_message();
+                integrity.checksum_fail_message(1);
                 tracer.marker(Marker::ChecksumFail, FiringId::NONE, sub.batch, node as u64);
                 if !pl.quarantined[node] {
                     pl.quarantined[node] = true;
-                    integrity.inc_quarantine();
+                    integrity.quarantines(1);
                     tracer.anomaly(Marker::Quarantine, FiringId::NONE, sub.batch, node as u64);
                 }
                 delivered[node] = false;
@@ -906,7 +906,7 @@ impl WukongS {
             if delivered[node] && pl.coordinator.already_inserted(node, s, ts) {
                 // Redelivered while another node's outage stalls the
                 // stable VTS: this node already holds the batch.
-                self.cluster.obs().faults().inc_dedup_suppressed();
+                self.cluster.obs().faults().dedup_suppressed(1);
                 delivered[node] = false;
             }
         }
@@ -1400,7 +1400,7 @@ impl WukongS {
                 query, plan, ctx, &access, &lit, timer, trace, fanout,
             );
             let edges: u64 = fanout.iter().map(|&(_, out)| out).sum();
-            self.cluster.obs().plan().record_edges(edges);
+            self.cluster.obs().plan().edges_traversed(edges);
             results
         }
     }
@@ -1606,11 +1606,11 @@ impl WukongS {
             let mut delta = r.delta.lock();
             if delta.is_some() {
                 *delta = None;
-                self.cluster.obs().plan().record_delta_rebuild();
+                self.cluster.obs().plan().delta_rebuilds(1);
             }
         }
         let obs = self.cluster.obs();
-        obs.plan().record_replan();
+        obs.plan().replans(1);
         obs.record_query_stage(class, Stage::Replan, t0.elapsed().as_nanos() as u64);
         // A drift trip is an anomaly worth a black box: the dump carries
         // the firing whose feedback tripped it (NONE for forced re-plans).
@@ -1782,7 +1782,7 @@ impl WukongS {
                     // The mode is on but this query recomputes (plan not
                     // incrementalizable, or a fault plan is installed).
                     let inc = self.cluster.obs().incremental();
-                    batch.iter().for_each(|_| inc.record_fallback());
+                    batch.iter().for_each(|_| inc.fallback_firings(1));
                 }
                 self.cluster
                     .pool(r.home)
@@ -1907,7 +1907,7 @@ impl WukongS {
                 windows_affected,
                 windows_aged,
             });
-            self.cluster.obs().overload().inc_degraded_firing();
+            self.cluster.obs().overload().degraded_firings(1);
         }
         // The latency-miss streak may *open* shedding, which only makes
         // sense when an ingest budget bounds what shedding admits — an
@@ -1931,7 +1931,7 @@ impl WukongS {
             {
                 pl.overload = OverloadState::Shedding;
                 pl.tripped_at = Some(Self::stream_now(&pl));
-                self.cluster.obs().overload().inc_state_transition();
+                self.cluster.obs().overload().state_transitions(1);
             }
         } else {
             pl.miss_streak = 0;
@@ -2063,7 +2063,7 @@ impl WukongS {
             self.cluster
                 .obs()
                 .integrity()
-                .add_scrub_violations(out.len() as u64);
+                .scrub_violations(out.len() as u64);
             // Scrub violations reuse the checksum-failure anomaly class:
             // both are state-integrity breaches, and the dump captures
             // whatever the recorder saw leading up to the breach.
@@ -2128,7 +2128,7 @@ impl WukongS {
             // one-shots have no freshness contract and can retry later
             // (DESIGN.md §11). Unbounded engines never reject.
             if self.cfg.ingest_budget.is_some() && pl.overload != OverloadState::Normal {
-                self.cluster.obs().overload().inc_admission_rejected();
+                self.cluster.obs().overload().admission_rejected(1);
                 return Err(QueryError::Overloaded(
                     "the engine is shedding load; retry after catch-up".into(),
                 ));
@@ -2454,8 +2454,8 @@ impl WukongS {
         let counters = engine.cluster.obs().faults();
         report.dedup_suppressed = before.delta(&counters.snapshot()).dedup_suppressed;
         report.restored_stable_sn = engine.stable_sn().0;
-        counters.inc_recovery();
-        counters.add_replayed_batches(report.replayed_batches);
+        counters.recoveries(1);
+        counters.replayed_batches(report.replayed_batches);
         let ns = t0.elapsed().as_nanos() as u64;
         report.recovery_ms = ns as f64 / 1e6;
         engine

@@ -91,13 +91,13 @@ fn rpc_partition(
     let max_attempts = 1 + policy.max_retries;
     for attempt in 1..=max_attempts {
         if attempt > 1 {
-            counters.inc_rpc_retry();
+            counters.rpc_retries(1);
             net_ns += policy.backoff_ns(attempt - 1);
         }
         if !fabric.is_up(node) {
             // A dead worker can never answer: charge the modelled
             // deadline without burning real wall-clock on the wait.
-            counters.inc_rpc_timeout();
+            counters.rpc_timeouts(1);
             net_ns += policy.deadline_charge_ns;
             continue;
         }
@@ -131,7 +131,7 @@ fn rpc_partition(
                 // (the simulation delivers instantly or never), the
                 // modelled deadline is the charged cost.
                 timer.exclude(wait.elapsed().as_nanos() as u64);
-                counters.inc_rpc_timeout();
+                counters.rpc_timeouts(1);
                 net_ns += policy.deadline_charge_ns;
             }
         }
@@ -440,7 +440,7 @@ pub fn execute_forkjoin_traced(
         tally.unreachable.sort_unstable();
         tally.unreachable.dedup();
         out.unreachable_shards = tally.unreachable;
-        cluster.obs().faults().inc_degraded();
+        cluster.obs().faults().degraded_answers(1);
     }
     out
 }

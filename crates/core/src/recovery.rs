@@ -132,7 +132,7 @@ impl RecoveryManager {
                     .cluster()
                     .obs()
                     .integrity()
-                    .inc_checksum_fail_checkpoint();
+                    .checksum_fail_checkpoint(1);
                 report.integrity_violations += 1;
                 Ok((engine, report))
             }
@@ -162,8 +162,8 @@ impl RecoveryManager {
         report.quarantined_shards = quarantined.len() as u64;
         if !quarantined.is_empty() {
             let integrity = recovered.cluster().obs().integrity();
-            integrity.inc_rebuild();
-            integrity.add_rebuild_ns(t0.elapsed().as_nanos() as u64);
+            integrity.rebuilds(1);
+            integrity.rebuild_ns(t0.elapsed().as_nanos() as u64);
         }
         Ok((recovered, report))
     }

@@ -250,7 +250,7 @@ impl Fabric {
                 );
                 return 0;
             }
-            f.counters().inc_retransmit();
+            f.counters().retransmits(1);
         }
     }
 

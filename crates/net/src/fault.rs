@@ -403,7 +403,7 @@ impl FaultState {
     pub fn kill(&self, node: NodeId) -> bool {
         let was_up = self.up[node.idx()].swap(false, Ordering::Relaxed);
         if was_up {
-            self.counters.inc_kill();
+            self.counters.node_kills(1);
             self.log.lock().push(FaultEvent::Killed {
                 node,
                 at_ms: self.clock_ms.load(Ordering::Relaxed),
@@ -417,7 +417,7 @@ impl FaultState {
     pub fn restart(&self, node: NodeId) -> bool {
         let was_down = !self.up[node.idx()].swap(true, Ordering::Relaxed);
         if was_down {
-            self.counters.inc_restart();
+            self.counters.node_restarts(1);
             self.log.lock().push(FaultEvent::Restarted {
                 node,
                 at_ms: self.clock_ms.load(Ordering::Relaxed),
@@ -478,14 +478,14 @@ impl FaultState {
             };
         }
         let copies = if rule.dup_p > 0.0 && rng.gen_bool(rule.dup_p) {
-            self.counters.inc_duplicated();
+            self.counters.msgs_duplicated(1);
             self.log.lock().push(FaultEvent::Duplicated { from, to });
             2
         } else {
             1
         };
         let extra_ns = if rule.delay_p > 0.0 && rng.gen_bool(rule.delay_p) {
-            self.counters.inc_delayed();
+            self.counters.msgs_delayed(1);
             self.log.lock().push(FaultEvent::Delayed {
                 from,
                 to,
@@ -519,7 +519,7 @@ impl FaultState {
         if factor <= 100 || ns == 0 {
             return ns;
         }
-        self.counters.inc_slowed();
+        self.counters.ops_slowed(1);
         ns.saturating_mul(factor) / 100
     }
 
@@ -539,7 +539,7 @@ impl FaultState {
         }
         let bits = rng.next_u64();
         drop(rng);
-        self.counters.inc_corrupt_msg();
+        self.counters.msgs_corrupted(1);
         self.log.lock().push(FaultEvent::CorruptedMsg { from, to });
         Some(bits)
     }
@@ -558,7 +558,7 @@ impl FaultState {
         }
         let bits = rng.next_u64();
         drop(rng);
-        self.counters.inc_corrupt_checkpoint();
+        self.counters.checkpoints_corrupted(1);
         self.log.lock().push(FaultEvent::CorruptedCheckpoint {
             at_ms: self.clock_ms.load(Ordering::Relaxed),
         });
@@ -567,13 +567,13 @@ impl FaultState {
 
     /// Records a message lost on `from → to`.
     pub fn record_drop(&self, from: NodeId, to: NodeId) {
-        self.counters.inc_dropped();
+        self.counters.msgs_dropped(1);
         self.log.lock().push(FaultEvent::Dropped { from, to });
     }
 
     /// Records a one-sided read that hit the dead node `to`.
     pub fn record_dead_read(&self, from: NodeId, to: NodeId) {
-        self.counters.inc_dead_read();
+        self.counters.dead_reads(1);
         self.log.lock().push(FaultEvent::DeadRead { from, to });
     }
 

@@ -5,70 +5,35 @@
 //! the tests use them to assert operation counts — the quantity the
 //! simulation is designed to reproduce faithfully.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonic counters of fabric activity.
-#[derive(Debug, Default)]
-pub struct FabricMetrics {
-    one_sided_reads: AtomicU64,
-    messages: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_sent: AtomicU64,
-    charged_ns: AtomicU64,
-}
-
-/// A point-in-time copy of [`FabricMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Number of one-sided READ verbs issued.
-    pub one_sided_reads: u64,
-    /// Number of two-sided messages sent.
-    pub messages: u64,
-    /// Payload bytes moved by READs.
-    pub bytes_read: u64,
-    /// Payload bytes moved by messages.
-    pub bytes_sent: u64,
-    /// Total virtual nanoseconds charged for network activity.
-    pub charged_ns: u64,
+wukong_obs::counters! {
+    /// Monotonic counters of fabric activity.
+    FabricMetrics => MetricsSnapshot as "fabric" {
+        /// Number of one-sided READ verbs issued.
+        one_sided_reads: sum,
+        /// Number of two-sided messages sent.
+        messages: sum,
+        /// Payload bytes moved by READs.
+        bytes_read: sum,
+        /// Payload bytes moved by messages.
+        bytes_sent: sum,
+        /// Total virtual nanoseconds charged for network activity.
+        charged_ns: sum,
+    }
 }
 
 impl FabricMetrics {
     /// Records a one-sided read of `bytes` charged `ns`.
     pub fn record_read(&self, bytes: usize, ns: u64) {
-        self.one_sided_reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.charged_ns.fetch_add(ns, Ordering::Relaxed);
+        self.one_sided_reads(1);
+        self.bytes_read(bytes as u64);
+        self.charged_ns(ns);
     }
 
     /// Records a two-sided message of `bytes` charged `ns`.
     pub fn record_message(&self, bytes: usize, ns: u64) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.charged_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            one_sided_reads: self.one_sided_reads.load(Ordering::Relaxed),
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            charged_ns: self.charged_ns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl MetricsSnapshot {
-    /// Difference of two snapshots (`later - self`).
-    pub fn delta(&self, later: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            one_sided_reads: later.one_sided_reads - self.one_sided_reads,
-            messages: later.messages - self.messages,
-            bytes_read: later.bytes_read - self.bytes_read,
-            bytes_sent: later.bytes_sent - self.bytes_sent,
-            charged_ns: later.charged_ns - self.charged_ns,
-        }
+        self.messages(1);
+        self.bytes_sent(bytes as u64);
+        self.charged_ns(ns);
     }
 }
 
@@ -92,13 +57,10 @@ mod tests {
 
     #[test]
     fn snapshot_delta() {
-        let m = FabricMetrics::default();
-        m.record_read(100, 2_000);
-        let before = m.snapshot();
-        m.record_read(100, 2_000);
-        let after = m.snapshot();
-        let d = before.delta(&after);
-        assert_eq!(d.one_sided_reads, 1);
-        assert_eq!(d.bytes_read, 100);
+        wukong_obs::counters::check_family(
+            FabricMetrics::TABLE,
+            FabricMetrics::snapshot,
+            MetricsSnapshot::delta,
+        );
     }
 }

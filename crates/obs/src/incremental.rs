@@ -8,17 +8,24 @@
 //! over, re-derived, and retracted. The bench harness diffs snapshots
 //! around an experiment, like the fabric / fault / pool counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonic counters of incremental-execution activity.
-#[derive(Debug, Default)]
-pub struct IncrementalCounters {
-    incremental_firings: AtomicU64,
-    rebuild_firings: AtomicU64,
-    fallback_firings: AtomicU64,
-    rows_reused: AtomicU64,
-    rows_recomputed: AtomicU64,
-    rows_retracted: AtomicU64,
+crate::counters! {
+    /// Monotonic counters of incremental-execution activity.
+    IncrementalCounters => IncrementalSnapshot as "incremental" {
+        /// Firings maintained by delta application over retained state.
+        incremental_firings: sum,
+        /// Firings that rebuilt state from scratch (first firing of a query,
+        /// post-recovery, or non-monotone window movement).
+        rebuild_firings: sum,
+        /// Firings that ran the full recompute path instead (mode off,
+        /// non-incrementalizable plan, or fault plan active).
+        fallback_firings: sum,
+        /// State rows carried over across maintained firings.
+        rows_reused: sum,
+        /// Rows newly derived by delta application or rebuild.
+        rows_recomputed: sum,
+        /// State rows dropped because a contributing edge expired.
+        rows_retracted: sum,
+    }
 }
 
 impl IncrementalCounters {
@@ -26,76 +33,13 @@ impl IncrementalCounters {
     /// rebuilt from scratch, the row counts say what the maintenance did.
     pub fn record_maintained(&self, rebuilt: bool, reused: u64, recomputed: u64, retracted: u64) {
         if rebuilt {
-            self.rebuild_firings.fetch_add(1, Ordering::Relaxed);
+            self.rebuild_firings(1);
         } else {
-            self.incremental_firings.fetch_add(1, Ordering::Relaxed);
+            self.incremental_firings(1);
         }
-        self.rows_reused.fetch_add(reused, Ordering::Relaxed);
-        self.rows_recomputed
-            .fetch_add(recomputed, Ordering::Relaxed);
-        self.rows_retracted.fetch_add(retracted, Ordering::Relaxed);
-    }
-
-    /// Records one firing that fell back to full recompute (mode off,
-    /// non-incrementalizable plan, or fault plan active).
-    pub fn record_fallback(&self) {
-        self.fallback_firings.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> IncrementalSnapshot {
-        IncrementalSnapshot {
-            incremental_firings: self.incremental_firings.load(Ordering::Relaxed),
-            rebuild_firings: self.rebuild_firings.load(Ordering::Relaxed),
-            fallback_firings: self.fallback_firings.load(Ordering::Relaxed),
-            rows_reused: self.rows_reused.load(Ordering::Relaxed),
-            rows_recomputed: self.rows_recomputed.load(Ordering::Relaxed),
-            rows_retracted: self.rows_retracted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`IncrementalCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IncrementalSnapshot {
-    /// Firings maintained by delta application over retained state.
-    pub incremental_firings: u64,
-    /// Firings that rebuilt state from scratch (first firing of a query,
-    /// post-recovery, or non-monotone window movement).
-    pub rebuild_firings: u64,
-    /// Firings that ran the full recompute path instead.
-    pub fallback_firings: u64,
-    /// State rows carried over across maintained firings.
-    pub rows_reused: u64,
-    /// Rows newly derived by delta application or rebuild.
-    pub rows_recomputed: u64,
-    /// State rows dropped because a contributing edge expired.
-    pub rows_retracted: u64,
-}
-
-impl IncrementalSnapshot {
-    /// Difference of two snapshots (`later - self`).
-    pub fn delta(&self, later: &IncrementalSnapshot) -> IncrementalSnapshot {
-        IncrementalSnapshot {
-            incremental_firings: later.incremental_firings - self.incremental_firings,
-            rebuild_firings: later.rebuild_firings - self.rebuild_firings,
-            fallback_firings: later.fallback_firings - self.fallback_firings,
-            rows_reused: later.rows_reused - self.rows_reused,
-            rows_recomputed: later.rows_recomputed - self.rows_recomputed,
-            rows_retracted: later.rows_retracted - self.rows_retracted,
-        }
-    }
-
-    /// `(name, value)` pairs in display order, for report writers.
-    pub fn entries(&self) -> [(&'static str, u64); 6] {
-        [
-            ("incremental_firings", self.incremental_firings),
-            ("rebuild_firings", self.rebuild_firings),
-            ("fallback_firings", self.fallback_firings),
-            ("rows_reused", self.rows_reused),
-            ("rows_recomputed", self.rows_recomputed),
-            ("rows_retracted", self.rows_retracted),
-        ]
+        self.rows_reused(reused);
+        self.rows_recomputed(recomputed);
+        self.rows_retracted(retracted);
     }
 }
 
@@ -107,29 +51,25 @@ mod tests {
     fn maintained_and_fallback_accumulate_and_delta() {
         let c = IncrementalCounters::default();
         c.record_maintained(true, 0, 10, 0);
-        c.record_fallback();
         let before = c.snapshot();
         c.record_maintained(false, 8, 3, 2);
         c.record_maintained(false, 9, 1, 0);
         let d = before.delta(&c.snapshot());
         assert_eq!(d.incremental_firings, 2);
         assert_eq!(d.rebuild_firings, 0);
-        assert_eq!(d.fallback_firings, 0);
         assert_eq!(d.rows_reused, 17);
         assert_eq!(d.rows_recomputed, 4);
         assert_eq!(d.rows_retracted, 2);
         assert_eq!(before.rebuild_firings, 1);
-        assert_eq!(before.fallback_firings, 1);
+        assert_eq!(before.rows_recomputed, 10);
     }
 
     #[test]
     fn entries_cover_every_field() {
-        let c = IncrementalCounters::default();
-        c.record_maintained(false, 5, 2, 1);
-        let names: Vec<_> = c.snapshot().entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 6);
-        assert!(names.contains(&"rows_reused"));
-        assert!(names.contains(&"rows_recomputed"));
-        assert!(names.contains(&"fallback_firings"));
+        crate::counters::check_family(
+            IncrementalCounters::TABLE,
+            IncrementalCounters::snapshot,
+            IncrementalSnapshot::delta,
+        );
     }
 }

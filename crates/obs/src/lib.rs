@@ -18,9 +18,14 @@
 //!
 //! The [`json`] module is a dependency-free JSON value type with a
 //! serializer and parser, used by the bench binaries' `--json` mode.
-//! The [`faults`] module adds monotonic counters for injected faults and
-//! the engine's reactions (drops, retries, timeouts, recoveries).
+//! Every monotonic counter family — [`faults`], [`pool`],
+//! [`incremental`], [`overload`], [`plan`], [`integrity`], and the
+//! fabric's in `wukong-net` — is declared through the one
+//! [`counters!`] table (see [`mod@counters`]), which generates its storage,
+//! snapshot, delta and report entries. The [`trace`] module is the
+//! flight recorder: causal per-firing events and anomaly dumps.
 
+pub mod counters;
 pub mod faults;
 pub mod histogram;
 pub mod incremental;
@@ -33,6 +38,7 @@ pub mod registry;
 pub mod stage;
 pub mod trace;
 
+pub use counters::CounterSet;
 pub use faults::{FaultCounters, FaultSnapshot};
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use incremental::{IncrementalCounters, IncrementalSnapshot};

@@ -4,132 +4,29 @@
 //! shed-then-catch-up recovery, in `wukong-core`/`wukong-stream`) records
 //! into one shared [`OverloadCounters`] so a single snapshot answers
 //! "how hard was the engine pushed and what did it give up" for an
-//! experiment interval. Same monotonic snapshot/delta discipline as
-//! [`crate::FaultCounters`].
+//! experiment interval.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonic counters of load shedding, admission control, and catch-up.
-#[derive(Debug, Default)]
-pub struct OverloadCounters {
-    sheds_drop_oldest: AtomicU64,
-    sheds_sampled: AtomicU64,
-    tuples_shed: AtomicU64,
-    admission_rejected: AtomicU64,
-    state_transitions: AtomicU64,
-    catchup_replays: AtomicU64,
-    catchup_replayed_tuples: AtomicU64,
-    degraded_firings: AtomicU64,
-    incremental_rebuilds: AtomicU64,
-}
-
-macro_rules! bump {
-    ($($(#[$doc:meta])* $fn_name:ident => $field:ident),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $fn_name(&self) {
-                self.$field.fetch_add(1, Ordering::Relaxed);
-            }
-        )*
-    };
-}
-
-impl OverloadCounters {
-    bump! {
-        /// A full queue shed the oldest pending window's tuples.
-        inc_shed_drop_oldest => sheds_drop_oldest,
-        /// A full queue deterministically sampled tuples out of a batch.
-        inc_shed_sampled => sheds_sampled,
-        /// A one-shot query was rejected by admission control.
-        inc_admission_rejected => admission_rejected,
-        /// The degradation state machine changed state.
-        inc_state_transition => state_transitions,
-        /// A catch-up replay episode completed.
-        inc_catchup_replay => catchup_replays,
-        /// A firing carried a `degraded` staleness marker.
-        inc_degraded_firing => degraded_firings,
-        /// A shed gap forced an incremental query to rebuild its state.
-        inc_incremental_rebuild => incremental_rebuilds,
-    }
-
-    /// Adds `n` shed tuples at once.
-    pub fn add_tuples_shed(&self, n: u64) {
-        self.tuples_shed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` tuples re-inserted by a catch-up replay.
-    pub fn add_replayed_tuples(&self, n: u64) {
-        self.catchup_replayed_tuples.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> OverloadSnapshot {
-        OverloadSnapshot {
-            sheds_drop_oldest: self.sheds_drop_oldest.load(Ordering::Relaxed),
-            sheds_sampled: self.sheds_sampled.load(Ordering::Relaxed),
-            tuples_shed: self.tuples_shed.load(Ordering::Relaxed),
-            admission_rejected: self.admission_rejected.load(Ordering::Relaxed),
-            state_transitions: self.state_transitions.load(Ordering::Relaxed),
-            catchup_replays: self.catchup_replays.load(Ordering::Relaxed),
-            catchup_replayed_tuples: self.catchup_replayed_tuples.load(Ordering::Relaxed),
-            degraded_firings: self.degraded_firings.load(Ordering::Relaxed),
-            incremental_rebuilds: self.incremental_rebuilds.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`OverloadCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OverloadSnapshot {
-    /// Shed events under the drop-oldest-window policy.
-    pub sheds_drop_oldest: u64,
-    /// Shed events under the sample-within-batch policy.
-    pub sheds_sampled: u64,
-    /// Tuples dropped by the shed policy (before any catch-up replay).
-    pub tuples_shed: u64,
-    /// One-shot queries rejected by admission control.
-    pub admission_rejected: u64,
-    /// Degradation state-machine transitions.
-    pub state_transitions: u64,
-    /// Completed catch-up replay episodes.
-    pub catchup_replays: u64,
-    /// Tuples re-inserted by catch-up replays.
-    pub catchup_replayed_tuples: u64,
-    /// Firings that carried a `degraded` staleness marker.
-    pub degraded_firings: u64,
-    /// Incremental state rebuilds forced by a shed gap.
-    pub incremental_rebuilds: u64,
-}
-
-impl OverloadSnapshot {
-    /// Difference of two snapshots (`later - self`).
-    pub fn delta(&self, later: &OverloadSnapshot) -> OverloadSnapshot {
-        OverloadSnapshot {
-            sheds_drop_oldest: later.sheds_drop_oldest - self.sheds_drop_oldest,
-            sheds_sampled: later.sheds_sampled - self.sheds_sampled,
-            tuples_shed: later.tuples_shed - self.tuples_shed,
-            admission_rejected: later.admission_rejected - self.admission_rejected,
-            state_transitions: later.state_transitions - self.state_transitions,
-            catchup_replays: later.catchup_replays - self.catchup_replays,
-            catchup_replayed_tuples: later.catchup_replayed_tuples - self.catchup_replayed_tuples,
-            degraded_firings: later.degraded_firings - self.degraded_firings,
-            incremental_rebuilds: later.incremental_rebuilds - self.incremental_rebuilds,
-        }
-    }
-
-    /// `(name, value)` pairs in display order, for report writers.
-    pub fn entries(&self) -> [(&'static str, u64); 9] {
-        [
-            ("sheds_drop_oldest", self.sheds_drop_oldest),
-            ("sheds_sampled", self.sheds_sampled),
-            ("tuples_shed", self.tuples_shed),
-            ("admission_rejected", self.admission_rejected),
-            ("state_transitions", self.state_transitions),
-            ("catchup_replays", self.catchup_replays),
-            ("catchup_replayed_tuples", self.catchup_replayed_tuples),
-            ("degraded_firings", self.degraded_firings),
-            ("incremental_rebuilds", self.incremental_rebuilds),
-        ]
+crate::counters! {
+    /// Monotonic counters of load shedding, admission control, and catch-up.
+    OverloadCounters => OverloadSnapshot as "overload" {
+        /// Shed events under the drop-oldest-window policy.
+        sheds_drop_oldest: sum,
+        /// Shed events under the sample-within-batch policy.
+        sheds_sampled: sum,
+        /// Tuples dropped by the shed policy (before any catch-up replay).
+        tuples_shed: sum,
+        /// One-shot queries rejected by admission control.
+        admission_rejected: sum,
+        /// Degradation state-machine transitions.
+        state_transitions: sum,
+        /// Completed catch-up replay episodes.
+        catchup_replays: sum,
+        /// Tuples re-inserted by catch-up replays.
+        catchup_replayed_tuples: sum,
+        /// Firings that carried a `degraded` staleness marker.
+        degraded_firings: sum,
+        /// Incremental state rebuilds forced by a shed gap.
+        incremental_rebuilds: sum,
     }
 }
 
@@ -140,14 +37,12 @@ mod tests {
     #[test]
     fn counters_accumulate_and_delta() {
         let c = OverloadCounters::default();
-        c.inc_shed_drop_oldest();
-        c.add_tuples_shed(40);
-        c.inc_state_transition();
+        c.sheds_drop_oldest(1);
+        c.tuples_shed(40);
         let before = c.snapshot();
-        c.inc_shed_sampled();
-        c.add_tuples_shed(10);
-        c.inc_catchup_replay();
-        c.add_replayed_tuples(50);
+        c.sheds_sampled(1);
+        c.tuples_shed(10);
+        c.catchup_replayed_tuples(50);
         let d = before.delta(&c.snapshot());
         assert_eq!(d.sheds_drop_oldest, 0);
         assert_eq!(d.sheds_sampled, 1);
@@ -158,20 +53,10 @@ mod tests {
 
     #[test]
     fn entries_cover_every_field() {
-        let c = OverloadCounters::default();
-        c.inc_shed_drop_oldest();
-        c.inc_shed_sampled();
-        c.add_tuples_shed(1);
-        c.inc_admission_rejected();
-        c.inc_state_transition();
-        c.inc_catchup_replay();
-        c.add_replayed_tuples(1);
-        c.inc_degraded_firing();
-        c.inc_incremental_rebuild();
-        let s = c.snapshot();
-        let names: std::collections::HashSet<_> = s.entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 9);
-        let total: u64 = s.entries().iter().map(|(_, v)| v).sum();
-        assert_eq!(total, 9);
+        crate::counters::check_family(
+            OverloadCounters::TABLE,
+            OverloadCounters::snapshot,
+            OverloadSnapshot::delta,
+        );
     }
 }

@@ -10,136 +10,58 @@
 //! harness diffs snapshots around an experiment, like the fabric /
 //! fault / pool / incremental / overload counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonic counters of adaptive-planning activity.
-#[derive(Debug, Default)]
-pub struct PlanCounters {
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    feedback_firings: AtomicU64,
-    drifted_firings: AtomicU64,
-    replans: AtomicU64,
-    delta_rebuilds: AtomicU64,
-    mode_inplace: AtomicU64,
-    mode_forkjoin: AtomicU64,
-    edges_traversed: AtomicU64,
+crate::counters! {
+    /// Monotonic counters of adaptive-planning activity.
+    PlanCounters => PlanSnapshot as "plan" {
+        /// Plan-cache probes answered from the cache.
+        cache_hits: sum,
+        /// Plan-cache probes that had to plan from scratch.
+        cache_misses: sum,
+        /// Firings whose per-step fan-out fed the drift detector.
+        feedback_firings: sum,
+        /// Observed firings whose fan-out left the tolerance band.
+        drifted_firings: sum,
+        /// Re-plans of registered continuous queries (detector trips).
+        replans: sum,
+        /// Maintained-query delta states invalidated by a plan switch
+        /// (each rebuilds on its next firing).
+        delta_rebuilds: sum,
+        /// Firings the cost model ran in place.
+        mode_inplace: sum,
+        /// Firings the cost model fanned out across partitions.
+        mode_forkjoin: sum,
+        /// Index edges traversed (sum of per-step output rows) across
+        /// recompute firings — the modeled plan-quality metric.
+        edges_traversed: sum,
+    }
 }
 
 impl PlanCounters {
     /// Records one plan-cache probe.
     pub fn record_cache(&self, hit: bool) {
         if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.cache_hits(1);
         } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.cache_misses(1);
         }
     }
 
     /// Records one firing observed by the drift detector; `drifted` says
     /// whether its fan-out left the tolerance band.
     pub fn record_feedback(&self, drifted: bool) {
-        self.feedback_firings.fetch_add(1, Ordering::Relaxed);
+        self.feedback_firings(1);
         if drifted {
-            self.drifted_firings.fetch_add(1, Ordering::Relaxed);
+            self.drifted_firings(1);
         }
-    }
-
-    /// Records one re-plan of a registered continuous query.
-    pub fn record_replan(&self) {
-        self.replans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one maintained query's `DeltaState` invalidated across a
-    /// plan switch (it rebuilds on the next firing).
-    pub fn record_delta_rebuild(&self) {
-        self.delta_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one cost-model execution-mode decision.
     pub fn record_mode(&self, forkjoin: bool) {
         if forkjoin {
-            self.mode_forkjoin.fetch_add(1, Ordering::Relaxed);
+            self.mode_forkjoin(1);
         } else {
-            self.mode_inplace.fetch_add(1, Ordering::Relaxed);
+            self.mode_inplace(1);
         }
-    }
-
-    /// Adds `n` traversed index edges (a firing's per-step output-row
-    /// total — the deterministic modeled-work metric).
-    pub fn record_edges(&self, n: u64) {
-        self.edges_traversed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> PlanSnapshot {
-        PlanSnapshot {
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            feedback_firings: self.feedback_firings.load(Ordering::Relaxed),
-            drifted_firings: self.drifted_firings.load(Ordering::Relaxed),
-            replans: self.replans.load(Ordering::Relaxed),
-            delta_rebuilds: self.delta_rebuilds.load(Ordering::Relaxed),
-            mode_inplace: self.mode_inplace.load(Ordering::Relaxed),
-            mode_forkjoin: self.mode_forkjoin.load(Ordering::Relaxed),
-            edges_traversed: self.edges_traversed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`PlanCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanSnapshot {
-    /// Plan-cache probes answered from the cache.
-    pub cache_hits: u64,
-    /// Plan-cache probes that had to plan from scratch.
-    pub cache_misses: u64,
-    /// Firings whose per-step fan-out fed the drift detector.
-    pub feedback_firings: u64,
-    /// Observed firings whose fan-out left the tolerance band.
-    pub drifted_firings: u64,
-    /// Re-plans of registered continuous queries (detector trips).
-    pub replans: u64,
-    /// Maintained-query delta states invalidated by a plan switch.
-    pub delta_rebuilds: u64,
-    /// Firings the cost model ran in place.
-    pub mode_inplace: u64,
-    /// Firings the cost model fanned out across partitions.
-    pub mode_forkjoin: u64,
-    /// Index edges traversed (sum of per-step output rows) across
-    /// recompute firings — the modeled plan-quality metric.
-    pub edges_traversed: u64,
-}
-
-impl PlanSnapshot {
-    /// Difference of two snapshots (`later - self`).
-    pub fn delta(&self, later: &PlanSnapshot) -> PlanSnapshot {
-        PlanSnapshot {
-            cache_hits: later.cache_hits - self.cache_hits,
-            cache_misses: later.cache_misses - self.cache_misses,
-            feedback_firings: later.feedback_firings - self.feedback_firings,
-            drifted_firings: later.drifted_firings - self.drifted_firings,
-            replans: later.replans - self.replans,
-            delta_rebuilds: later.delta_rebuilds - self.delta_rebuilds,
-            mode_inplace: later.mode_inplace - self.mode_inplace,
-            mode_forkjoin: later.mode_forkjoin - self.mode_forkjoin,
-            edges_traversed: later.edges_traversed - self.edges_traversed,
-        }
-    }
-
-    /// `(name, value)` pairs in display order, for report writers.
-    pub fn entries(&self) -> [(&'static str, u64); 9] {
-        [
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("feedback_firings", self.feedback_firings),
-            ("drifted_firings", self.drifted_firings),
-            ("replans", self.replans),
-            ("delta_rebuilds", self.delta_rebuilds),
-            ("mode_inplace", self.mode_inplace),
-            ("mode_forkjoin", self.mode_forkjoin),
-            ("edges_traversed", self.edges_traversed),
-        ]
     }
 }
 
@@ -151,7 +73,6 @@ mod tests {
     fn counters_accumulate_and_delta() {
         let c = PlanCounters::default();
         c.record_cache(false);
-        c.record_replan();
         let before = c.snapshot();
         c.record_cache(true);
         c.record_cache(true);
@@ -159,34 +80,22 @@ mod tests {
         c.record_feedback(true);
         c.record_mode(false);
         c.record_mode(true);
-        c.record_delta_rebuild();
-        c.record_edges(40);
-        c.record_edges(2);
         let d = before.delta(&c.snapshot());
         assert_eq!(d.cache_hits, 2);
         assert_eq!(d.cache_misses, 0);
         assert_eq!(d.feedback_firings, 2);
         assert_eq!(d.drifted_firings, 1);
-        assert_eq!(d.replans, 0);
-        assert_eq!(d.delta_rebuilds, 1);
         assert_eq!(d.mode_inplace, 1);
         assert_eq!(d.mode_forkjoin, 1);
-        assert_eq!(d.edges_traversed, 42);
         assert_eq!(before.cache_misses, 1);
-        assert_eq!(before.replans, 1);
     }
 
     #[test]
     fn entries_cover_every_field() {
-        let c = PlanCounters::default();
-        c.record_replan();
-        let snap = c.snapshot();
-        let names: Vec<_> = snap.entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 9);
-        let unique: std::collections::HashSet<_> = names.iter().collect();
-        assert_eq!(unique.len(), names.len());
-        assert!(names.contains(&"replans"));
-        assert!(names.contains(&"edges_traversed"));
-        assert_eq!(snap.entries()[4], ("replans", 1));
+        crate::counters::check_family(
+            PlanCounters::TABLE,
+            PlanCounters::snapshot,
+            PlanSnapshot::delta,
+        );
     }
 }

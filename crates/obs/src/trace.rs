@@ -32,7 +32,7 @@
 //! causal order.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -394,8 +394,14 @@ impl Ring {
 
     fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
         let b = self.buf.lock();
-        let evicted = b.written.saturating_sub(b.events.len() as u64);
-        (b.events.clone(), evicted)
+        (b.events.clone(), b.evicted())
+    }
+}
+
+impl RingBuf {
+    /// Events overwritten by wraparound.
+    fn evicted(&self) -> u64 {
+        self.written.saturating_sub(self.events.len() as u64)
     }
 }
 
@@ -431,9 +437,10 @@ pub struct TraceSnapshot {
     pub dumps_suppressed: u64,
 }
 
-impl TraceSnapshot {
-    /// `(name, value)` pairs for JSON reports, in stable order.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
+impl crate::CounterSet for TraceSnapshot {
+    const MEMBER: &'static str = "trace";
+
+    fn entries(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("enabled", self.enabled as u64),
             ("events", self.events),
@@ -454,7 +461,7 @@ pub struct TraceRecorder {
     next_firing: AtomicU64,
     ring_capacity: usize,
     rings: Mutex<Vec<Arc<Ring>>>,
-    firings: Mutex<Vec<FiringMeta>>,
+    firings: Mutex<VecDeque<FiringMeta>>,
     dumps: Mutex<Vec<Json>>,
     dumps_suppressed: AtomicU64,
 }
@@ -498,7 +505,7 @@ impl TraceRecorder {
             next_firing: AtomicU64::new(1),
             ring_capacity: ring_capacity.max(1),
             rings: Mutex::new(Vec::new()),
-            firings: Mutex::new(Vec::new()),
+            firings: Mutex::new(VecDeque::new()),
             dumps: Mutex::new(Vec::new()),
             dumps_suppressed: AtomicU64::new(0),
         }
@@ -563,9 +570,9 @@ impl TraceRecorder {
         batches.truncate(Self::LINEAGE_CAP);
         let mut metas = self.firings.lock();
         if metas.len() >= Self::FIRING_CAP {
-            metas.remove(0);
+            metas.pop_front();
         }
-        metas.push(FiringMeta {
+        metas.push_back(FiringMeta {
             id,
             query: query.to_string(),
             windows,
@@ -717,7 +724,13 @@ impl TraceRecorder {
 
     /// Counter snapshot for bench reports.
     pub fn snapshot(&self) -> TraceSnapshot {
-        let (_, evicted) = self.merged_with_evicted();
+        // Only counts are read, under each ring's lock; no event is copied.
+        let evicted = self
+            .rings
+            .lock()
+            .iter()
+            .map(|r| r.buf.lock().evicted())
+            .sum();
         TraceSnapshot {
             enabled: self.is_enabled(),
             events: self.seq.load(Ordering::Relaxed),
