@@ -22,6 +22,12 @@ cargo test -q
 echo "== benchmark package build"
 cargo build --release --offline --manifest-path wsbench/Cargo.toml
 
+# Its tests drive the engine end to end at a tiny scale and check every
+# result against the relational oracle, so a stream-read regression
+# fails CI rather than a benchmark run.
+echo "== benchmark package tests"
+cargo test --release --offline --manifest-path wsbench/Cargo.toml
+
 # Execution-mode matrix: the equivalence suites must pass at both the
 # serial baseline and a wide pool, with delta maintenance off and on and
 # adaptive re-planning off and on — incremental and adaptive firings are

@@ -15,7 +15,6 @@
 //! precisely the ablation the Table 4 comparison makes.
 
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 use wukong_core::cluster::Cluster;
 use wukong_core::EngineConfig;
@@ -26,11 +25,11 @@ use wukong_query::exec::{
 use wukong_query::{
     execute, parse_query, plan_query, GraphName, Query, QueryError, QueryKind, ResultSet,
 };
-use wukong_rdf::{Key, StreamId, StringServer, Timestamp, Triple, Vid};
+use wukong_rdf::{Key, KeyMap, StreamId, StringServer, Timestamp, Triple, Vid};
 use wukong_store::SnapshotId;
 
 /// Per-node timestamp logs: key → every (neighbour, timestamp) append.
-type TsLog = HashMap<Key, Vec<(Vid, Timestamp)>>;
+type TsLog = KeyMap<Vec<(Vid, Timestamp)>>;
 
 /// The Wukong/Ext engine.
 pub struct WukongExt {
@@ -49,7 +48,7 @@ impl WukongExt {
         };
         WukongExt {
             cluster: Cluster::new_with_strings(&cfg, strings),
-            logs: (0..nodes).map(|_| RwLock::new(TsLog::new())).collect(),
+            logs: (0..nodes).map(|_| RwLock::new(TsLog::default())).collect(),
             stream_names: Vec::new(),
             registered: Vec::new(),
         }

@@ -85,6 +85,21 @@ fn bench_stream_index(c: &mut Criterion) {
                 })
             },
         );
+        // The same key over a 100-batch window: the key-major index probes
+        // once and binary-searches, so the lookup cost beyond copying the
+        // window's neighbours stays flat as the window grows.
+        let lo100 = hi - 10_000;
+        g.bench_with_input(
+            BenchmarkId::new("stream_index_window100", history_batches),
+            &history_batches,
+            |b, _| {
+                b.iter(|| {
+                    let mut out = Vec::new();
+                    index.neighbors_in(&store, key, lo100, hi, &mut out);
+                    black_box(out.len())
+                })
+            },
+        );
         g.bench_with_input(
             BenchmarkId::new("ext_full_scan", history_batches),
             &history_batches,

@@ -345,10 +345,11 @@ impl Cluster {
             let before = out.len();
             {
                 let index = stream.indexes[owner.idx()].read();
-                let shard = &self.shards[owner.idx()];
-                index.for_each_pointer_in(key, lo, hi, |fp| {
-                    shard.read_range(key, fp.start, fp.len, out);
-                });
+                self.shards[owner.idx()].read_postings(
+                    key,
+                    index.postings_in(key, lo, hi),
+                    |_, s| out.extend_from_slice(s),
+                );
             }
             if remote && out.len() > before {
                 let bytes = (out.len() - before) * std::mem::size_of::<Vid>();
@@ -357,11 +358,15 @@ impl Cluster {
         }
 
         // Timing: transient ring on the owner (index keys included — the
-        // per-slice predicate index lives with the index key's owner).
+        // per-slice predicate index lives with the index key's owner). A
+        // ring with no entries — every stream without timing predicates —
+        // is skipped rather than probed slice by slice.
         let before = out.len();
         {
             let transient = stream.transients[owner.idx()].read();
-            transient.for_each_slice_in(lo, hi, |s| out.extend_from_slice(s.neighbors(key)));
+            if transient.has_entries() {
+                transient.for_each_slice_in(lo, hi, |s| out.extend_from_slice(s.neighbors(key)));
+            }
         }
         if remote && out.len() > before {
             let bytes = (out.len() - before) * std::mem::size_of::<Vid>();
@@ -408,12 +413,8 @@ impl Cluster {
         let before = out.len();
         {
             let index = stream.indexes[owner.idx()].read();
-            let shard = &self.shards[owner.idx()];
-            let mut vals = Vec::new();
-            index.for_each_pointer_timed_in(key, lo, hi, |ts, fp| {
-                vals.clear();
-                shard.read_range(key, fp.start, fp.len, &mut vals);
-                out.extend(vals.iter().map(|&v| (v, ts)));
+            self.shards[owner.idx()].read_postings(key, index.postings_in(key, lo, hi), |ts, s| {
+                out.extend(s.iter().map(|&v| (v, ts)))
             });
         }
         if remote && out.len() > before {
@@ -426,10 +427,12 @@ impl Cluster {
         let before = out.len();
         {
             let transient = stream.transients[owner.idx()].read();
-            transient.for_each_slice_in(lo, hi, |s| {
-                let ts = s.timestamp;
-                out.extend(s.neighbors(key).iter().map(|&v| (v, ts)));
-            });
+            if transient.has_entries() {
+                transient.for_each_slice_in(lo, hi, |s| {
+                    let ts = s.timestamp;
+                    out.extend(s.neighbors(key).iter().map(|&v| (v, ts)));
+                });
+            }
         }
         if remote && out.len() > before {
             let bytes = (out.len() - before) * std::mem::size_of::<Vid>();
@@ -452,10 +455,12 @@ impl Cluster {
         } else {
             stream.indexes[owner.idx()].read().count_in(key, lo, hi)
         };
-        let timing_count = stream.transients[owner.idx()]
-            .read()
-            .neighbors_in(key, lo, hi)
-            .len();
+        let transient = stream.transients[owner.idx()].read();
+        let timing_count = if transient.has_entries() {
+            transient.neighbors_in(key, lo, hi).len()
+        } else {
+            0
+        };
         idx_count + timing_count
     }
 

@@ -405,15 +405,15 @@ impl WukongS {
                                  // term carries its namespace IRI (LSBench's raw data averages
                                  // ~174 B/triple: 3.75 B triples = 653 GB raw, 6.1).
         const IRI_PREFIX: u64 = 30;
-        let ss = self.strings();
+        let names = self.strings().name_lens();
+        let len = |n: Option<usize>| n.map_or(8, |l| l as u64);
         batch
             .tuples
             .iter()
             .map(|t| {
-                let len = |r: Result<String, _>| r.map(|s| s.len() as u64).unwrap_or(8);
-                len(ss.entity_name(t.triple.s))
-                    + len(ss.predicate_name(t.triple.p))
-                    + len(ss.entity_name(t.triple.o))
+                len(names.entity(t.triple.s))
+                    + len(names.predicate(t.triple.p))
+                    + len(names.entity(t.triple.o))
                     + 3 * IRI_PREFIX
                     + FRAMING
             })
@@ -996,21 +996,24 @@ impl WukongS {
         }
         drop(inject_span);
 
-        // Build and install each node's stream-index batch.
+        // Install each node's stream-index postings straight from its
+        // receipts, keeping the entry count for the replication charge.
+        // An undelivered node has no receipts and installs nothing.
         let index_span = tracer.span(Stage::StreamIndex, FiringId::NONE, bid);
-        let results: Vec<(wukong_store::IndexBatch, InjectStats)> = receipts
+        let results: Vec<(usize, InjectStats)> = receipts
             .iter()
             .zip(stats.iter())
             .enumerate()
             .map(|(node, (rc, st))| {
                 let t0 = std::time::Instant::now();
-                let ib = wukong_store::IndexBatch::from_receipts(ts, rc);
-                if delivered[node] {
-                    stream.indexes[node].write().push_batch(ib.clone());
-                }
+                let entries = if delivered[node] {
+                    stream.indexes[node].write().push_receipts(ts, rc)
+                } else {
+                    0
+                };
                 let mut st = *st;
                 st.index_ns += t0.elapsed().as_nanos() as u64;
-                (ib, st)
+                (entries, st)
             })
             .collect();
         drop(index_span);
@@ -1019,8 +1022,8 @@ impl WukongS {
         // message per (origin, subscriber) pair carrying the entries.
         if self.cluster.replicate_indexes {
             let subscribers = stream.subscribers.read().clone();
-            for (m, (ib, _)) in results.iter().enumerate() {
-                if ib.entry_count() == 0 {
+            for (m, &(entries, _)) in results.iter().enumerate() {
+                if entries == 0 {
                     continue;
                 }
                 for &q in &subscribers {
@@ -1028,7 +1031,7 @@ impl WukongS {
                         fabric.charge_message(
                             NodeId(m as u16),
                             NodeId(q),
-                            ib.heap_bytes(),
+                            entries * wukong_store::IndexBatch::ENTRY_WIRE_BYTES,
                             &mut scratch,
                         );
                     }
@@ -2470,7 +2473,7 @@ impl WukongS {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wukong_rdf::ntriples;
+    use wukong_rdf::{ntriples, StreamTuple, Vid};
 
     fn engine_with_stream() -> (WukongS, StreamId) {
         let engine = WukongS::new(EngineConfig::single_node());
@@ -2514,6 +2517,40 @@ mod tests {
             ),
             Err(QueryError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn raw_bytes_sum_textual_name_lengths() {
+        // Table 7's raw-data figure: per tuple, the three names' lengths
+        // (8 for an ID with no name), three IRI prefixes and the framing.
+        let (engine, po) = engine_with_stream();
+        let ss = engine.strings().clone();
+        let mut tuples = vec![
+            ntriples::parse_tuple(&ss, "Logan po T-15 10", 1).expect("tuple"),
+            ntriples::parse_tuple(&ss, "Erik po T-7 20", 1).expect("tuple"),
+        ];
+        let po_pid = ss.predicate_id("po").expect("interned");
+        tuples.push(StreamTuple::timeless(
+            Triple::new(Vid(900_001), po_pid, Vid(900_002)),
+            30,
+        ));
+        for t in &tuples {
+            engine.ingest(po, t.triple, t.timestamp);
+        }
+        engine.advance_time(500);
+        let name = |r: Result<String, _>| r.map(|s| s.len() as u64).unwrap_or(8);
+        let expect: u64 = tuples
+            .iter()
+            .map(|t| {
+                name(ss.entity_name(t.triple.s))
+                    + name(ss.predicate_name(t.triple.p))
+                    + name(ss.entity_name(t.triple.o))
+                    + 3 * 30
+                    + 24
+            })
+            .sum();
+        assert_eq!(expect, (5 + 2 + 4) + (4 + 2 + 3) + (8 + 2 + 8) + 3 * 114);
+        assert_eq!(engine.stats().raw_stream_bytes as u64, expect);
     }
 
     #[test]

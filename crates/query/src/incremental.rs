@@ -264,7 +264,7 @@ fn step_ctx(base: &ExecContext, g: usize, lo: Timestamp, hi: Timestamp) -> ExecC
 /// per input row, never deduplicated.
 #[derive(Default)]
 struct ScanMemo {
-    map: std::collections::HashMap<Key, (usize, usize)>,
+    map: wukong_rdf::KeyMap<(usize, usize)>,
     arena: Vec<(Vid, Timestamp)>,
 }
 
@@ -603,21 +603,20 @@ mod tests {
     use crate::executor::execute;
     use crate::parse_query;
     use crate::planner::plan_query;
-    use std::collections::HashMap;
-    use wukong_rdf::{Pid, StringServer};
+    use wukong_rdf::{KeyMap, Pid, StringServer};
     use wukong_store::SnapshotId;
 
     /// In-memory timed stream edges: window filtering over explicit
     /// per-edge timestamps, plus the index-vertex entries IndexScan needs.
     #[derive(Default)]
     struct ToyStreams {
-        edges: Vec<HashMap<Key, Vec<(Vid, Timestamp)>>>,
+        edges: Vec<KeyMap<Vec<(Vid, Timestamp)>>>,
     }
 
     impl ToyStreams {
         fn new(n: usize) -> Self {
             ToyStreams {
-                edges: (0..n).map(|_| HashMap::new()).collect(),
+                edges: (0..n).map(|_| KeyMap::default()).collect(),
             }
         }
 

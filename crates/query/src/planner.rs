@@ -161,14 +161,13 @@ mod tests {
     use crate::ast::GraphName;
     use crate::exec::{ExecContext, PatternSource};
     use crate::parse_query;
-    use std::collections::HashMap;
     use wukong_net::TaskTimer;
-    use wukong_rdf::{StringServer, Vid};
+    use wukong_rdf::{KeyMap, StringServer, Vid};
     use wukong_store::SnapshotId;
 
     /// An oracle with fixed per-key estimates.
     struct FixedOracle {
-        estimates: HashMap<Key, usize>,
+        estimates: KeyMap<usize>,
         default: usize,
     }
 
@@ -201,7 +200,7 @@ mod tests {
         let po = ss.predicate_id("po").unwrap();
         let li = ss.predicate_id("li").unwrap();
 
-        let mut estimates = HashMap::new();
+        let mut estimates = KeyMap::default();
         // Erik liked 2 things; Logan posted 50.
         estimates.insert(Key::new(logan, po, Dir::Out), 50);
         estimates.insert(Key::new(erik, li, Dir::Out), 2);
@@ -225,7 +224,7 @@ mod tests {
         let ss = StringServer::new();
         let q = parse_query(&ss, "SELECT ?X ?Y WHERE { ?X fo ?Y . ?Y po ?Z }").unwrap();
         let oracle = FixedOracle {
-            estimates: HashMap::new(),
+            estimates: KeyMap::default(),
             default: 10,
         };
         let ctx = ExecContext::stored(SnapshotId::BASE);
@@ -241,7 +240,7 @@ mod tests {
         let ss = StringServer::new();
         let q = parse_query(&ss, "SELECT ?X WHERE { Logan po ?X }").unwrap();
         let oracle = FixedOracle {
-            estimates: HashMap::new(),
+            estimates: KeyMap::default(),
             default: 7,
         };
         let ctx = ExecContext::stored(SnapshotId::BASE);
@@ -262,7 +261,7 @@ mod tests {
         let q = parse_query(&ss, "SELECT ?X WHERE { Logan fo Erik . ?Y po ?X }").unwrap();
         let logan = ss.entity_id("Logan").unwrap();
         let fo = ss.predicate_id("fo").unwrap();
-        let mut estimates = HashMap::new();
+        let mut estimates = KeyMap::default();
         estimates.insert(Key::new(logan, fo, Dir::Out), 1);
         let oracle = FixedOracle {
             estimates,
@@ -291,7 +290,7 @@ mod tests {
         )
         .unwrap();
         let oracle = FixedOracle {
-            estimates: HashMap::new(),
+            estimates: KeyMap::default(),
             default: 5,
         };
         let ctx = ExecContext {

@@ -7,6 +7,8 @@
 //! predicate and 1 bit for the direction in a single 64-bit key.
 
 use crate::RdfError;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Number of bits in a vertex ID.
 pub const VID_BITS: u32 = 46;
@@ -137,6 +139,51 @@ impl Key {
     }
 }
 
+/// A map addressed by [`Key`], hashed with [`KeyHasher`].
+///
+/// Every `Key`-addressed map in the workspace uses this alias: the base
+/// store's key/value table, the stream index and the transient slices'
+/// adjacency, and the query layer's per-key memos.
+pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
+
+/// A deterministic hasher for [`Key`]s: one full-avalanche mix of the
+/// packed `u64`.
+///
+/// A bare multiply is not enough: the low 18 bits of a key are its
+/// `pid|dir`, so keys of one predicate differ only in their high bits,
+/// and a multiply only carries entropy upwards — the low bits (which pick
+/// the bucket) would collide. The murmur3 finalizer spreads every input
+/// bit over every output bit, so both the bucket bits and the top bits
+/// (the table's tag) vary with the vertex ID alone. It also needs no
+/// per-process seed, so map layouts are reproducible from run to run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let mut h = self.0 ^ x;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
+        self.0 = h;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // `Key` hashes through `write_u64`; this covers any other input.
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(w));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,5 +248,40 @@ mod tests {
     fn raw_roundtrip() {
         let k = Key::new(Vid(99), Pid(7), Dir::In);
         assert_eq!(Key::from_raw(k.raw()), k);
+    }
+    #[test]
+    fn key_hasher_spreads_vid_only_keys_over_bucket_and_tag_bits() {
+        use std::hash::BuildHasher;
+        // 64 K keys of one predicate and direction differ only above bit
+        // 18; their hashes must still fill the low (bucket) bits and the
+        // top 7 (tag) bits.
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let n = 1usize << 16;
+        let mut low = vec![0u32; n];
+        let mut top = [0u32; 128];
+        for v in 1..=n as u64 {
+            let h = build.hash_one(Key::new(Vid(v), Pid(7), Dir::Out));
+            low[(h as usize) & (n - 1)] += 1;
+            top[(h >> 57) as usize] += 1;
+        }
+        // Uniform hashing of n keys into n buckets fills 1 - 1/e ≈ 63%.
+        let filled = low.iter().filter(|&&c| c > 0).count();
+        assert!(
+            filled > n * 6 / 10,
+            "low bits filled {filled} of {n} buckets"
+        );
+        // Each of the 128 tags expects 512 keys.
+        let (min, max) = (top.iter().min().unwrap(), top.iter().max().unwrap());
+        assert!(*min > 400 && *max < 624, "tag counts span {min}..{max}");
+    }
+
+    #[test]
+    fn key_hasher_is_deterministic() {
+        use std::hash::BuildHasher;
+        let k = Key::new(Vid(42), Pid(3), Dir::In);
+        let a = BuildHasherDefault::<KeyHasher>::default().hash_one(k);
+        let b = BuildHasherDefault::<KeyHasher>::default().hash_one(k);
+        assert_eq!(a, b);
+        assert_ne!(a, k.raw());
     }
 }

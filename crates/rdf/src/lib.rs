@@ -23,7 +23,7 @@ pub mod triple;
 pub mod tuple;
 
 pub use error::RdfError;
-pub use id::{Dir, Key, Pid, Vid, INDEX_VID, MAX_PID, MAX_VID};
-pub use string_server::StringServer;
+pub use id::{Dir, Key, KeyHasher, KeyMap, Pid, Vid, INDEX_VID, MAX_PID, MAX_VID};
+pub use string_server::{NameLens, StringServer};
 pub use triple::Triple;
 pub use tuple::{StreamId, StreamTuple, Timestamp, TupleKind};

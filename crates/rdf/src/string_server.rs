@@ -13,7 +13,7 @@
 
 use crate::error::RdfError;
 use crate::id::{Pid, Vid, MAX_PID, MAX_VID};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::HashMap;
 
 #[derive(Default)]
@@ -46,6 +46,25 @@ impl Space {
             return None;
         }
         self.reverse.get(id as usize - 1).map(String::as_str)
+    }
+}
+
+/// Name lengths read without allocating, under one read lock per ID space
+/// held for as long as the view lives (see [`StringServer::name_lens`]).
+pub struct NameLens<'a> {
+    entities: RwLockReadGuard<'a, Space>,
+    predicates: RwLockReadGuard<'a, Space>,
+}
+
+impl NameLens<'_> {
+    /// Byte length of entity `vid`'s name, if it is interned.
+    pub fn entity(&self, vid: Vid) -> Option<usize> {
+        self.entities.resolve(vid.0).map(str::len)
+    }
+
+    /// Byte length of predicate `pid`'s name, if it is interned.
+    pub fn predicate(&self, pid: Pid) -> Option<usize> {
+        self.predicates.resolve(pid.0).map(str::len)
     }
 }
 
@@ -138,6 +157,17 @@ impl StringServer {
             .ok_or(RdfError::UnknownId(pid.0))
     }
 
+    /// A view answering name lengths for many IDs with one lock
+    /// acquisition per space and no allocation — the byte-accounting
+    /// path, where [`StringServer::entity_name`] would copy every name.
+    /// Interning blocks while the view lives.
+    pub fn name_lens(&self) -> NameLens<'_> {
+        NameLens {
+            entities: self.entities.read(),
+            predicates: self.predicates.read(),
+        }
+    }
+
     /// Number of distinct entities interned so far.
     pub fn entity_count(&self) -> usize {
         self.entities.read().reverse.len()
@@ -188,6 +218,19 @@ mod tests {
         assert_eq!(p, Pid(1));
         assert_eq!(ss.entity_name(v).unwrap(), "same");
         assert_eq!(ss.predicate_name(p).unwrap(), "same");
+    }
+
+    #[test]
+    fn name_lens_match_resolved_names() {
+        let ss = StringServer::new();
+        let v = ss.intern_entity("Logan").unwrap();
+        let p = ss.intern_predicate("po").unwrap();
+        let lens = ss.name_lens();
+        assert_eq!(lens.entity(v), Some(5));
+        assert_eq!(lens.predicate(p), Some(2));
+        assert_eq!(lens.entity(Vid(0)), None);
+        assert_eq!(lens.entity(Vid(9)), None);
+        assert_eq!(lens.predicate(Pid(9)), None);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! rely on (§4.2).
 
 use crate::snapshot::SnapshotId;
-use std::collections::HashMap;
-use wukong_rdf::{Dir, Key, Pid, Triple, Vid};
+use crate::stream_index::Posting;
+use wukong_rdf::{Dir, Key, KeyMap, Pid, Timestamp, Triple, Vid};
 
 /// One key's value: the base segment plus bounded snapshot intervals.
 #[derive(Debug, Default, Clone)]
@@ -104,26 +104,29 @@ impl ValueCell {
     /// Ranges come from stream-index fat pointers and always lie within the
     /// already-written part of the cell; out-of-range requests are clipped.
     pub fn read_range(&self, start: u32, len: u32, out: &mut Vec<Vid>) {
-        let mut remaining_skip = start as usize;
-        let mut remaining_take = len as usize;
-        let mut segs: Vec<&[Vid]> = Vec::with_capacity(1 + self.intervals.len());
-        segs.push(&self.base);
-        for (_, seg) in &self.intervals {
-            segs.push(seg);
-        }
+        self.for_each_slice_in_range(start, len, |s| out.extend_from_slice(s));
+    }
+
+    /// Visits, in order, the stored slices that make up the logical range
+    /// `[start, start + len)` (clipped like [`ValueCell::read_range`]).
+    fn for_each_slice_in_range(&self, start: u32, len: u32, mut f: impl FnMut(&[Vid])) {
+        let mut skip = start as usize;
+        let mut take = len as usize;
+        let segs = std::iter::once(self.base.as_slice())
+            .chain(self.intervals.iter().map(|(_, seg)| seg.as_slice()));
         for seg in segs {
-            if remaining_take == 0 {
+            if take == 0 {
                 break;
             }
-            if remaining_skip >= seg.len() {
-                remaining_skip -= seg.len();
+            if skip >= seg.len() {
+                skip -= seg.len();
                 continue;
             }
-            let avail = &seg[remaining_skip..];
-            let take = avail.len().min(remaining_take);
-            out.extend_from_slice(&avail[..take]);
-            remaining_take -= take;
-            remaining_skip = 0;
+            let avail = &seg[skip..];
+            let n = avail.len().min(take);
+            f(&avail[..n]);
+            take -= n;
+            skip = 0;
         }
     }
 
@@ -156,7 +159,7 @@ pub struct AppendReceipt {
 /// The in-memory key/value graph store of one shard (or partition).
 #[derive(Debug, Default)]
 pub struct BaseStore {
-    map: HashMap<Key, ValueCell>,
+    map: KeyMap<ValueCell>,
     triple_count: u64,
 }
 
@@ -293,6 +296,22 @@ impl BaseStore {
     pub fn read_range(&self, key: Key, start: u32, len: u32, out: &mut Vec<Vid>) {
         if let Some(cell) = self.map.get(&key) {
             cell.read_range(start, len, out);
+        }
+    }
+
+    /// Resolves `key` once and visits the neighbours each of its
+    /// stream-index postings designates: `f` gets the posting's batch
+    /// timestamp and the stored slices of its range, in posting order.
+    pub fn read_postings(
+        &self,
+        key: Key,
+        postings: &[Posting],
+        mut f: impl FnMut(Timestamp, &[Vid]),
+    ) {
+        if let Some(cell) = self.map.get(&key) {
+            for &(ts, fp) in postings {
+                cell.for_each_slice_in_range(fp.start, fp.len, |s| f(ts, s));
+            }
         }
     }
 

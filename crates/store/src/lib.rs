@@ -36,5 +36,5 @@ pub use persistent::PersistentShard;
 pub use sharding::ShardMap;
 pub use snapshot::SnapshotId;
 pub use stats::{StatsEpoch, StoreStats};
-pub use stream_index::{FatPointer, IndexBatch, StreamIndex};
+pub use stream_index::{FatPointer, IndexBatch, Posting, StreamIndex};
 pub use transient::{TransientSlice, TransientStore};

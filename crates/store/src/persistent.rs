@@ -14,8 +14,9 @@
 
 use crate::base::{AppendReceipt, BaseStore};
 use crate::snapshot::SnapshotId;
+use crate::stream_index::Posting;
 use parking_lot::{Mutex, RwLock};
-use wukong_rdf::{Dir, Key, Pid, Triple, Vid};
+use wukong_rdf::{Dir, Key, Pid, Timestamp, Triple, Vid};
 
 /// A lock-partitioned store shard.
 pub struct PersistentShard {
@@ -189,6 +190,17 @@ impl PersistentShard {
         self.parts[self.part_of(key)]
             .read()
             .read_range(key, start, len, out)
+    }
+
+    /// Visits the neighbours `key`'s stream-index postings designate,
+    /// resolving the key under one partition lock (see
+    /// [`BaseStore::read_postings`]).
+    pub fn read_postings(&self, key: Key, postings: &[Posting], f: impl FnMut(Timestamp, &[Vid])) {
+        if !postings.is_empty() {
+            self.parts[self.part_of(key)]
+                .read()
+                .read_postings(key, postings, f)
+        }
     }
 
     /// Whether `(s, p, o)` is visible at snapshot `sn`.

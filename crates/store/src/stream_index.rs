@@ -3,11 +3,21 @@
 //! After the persistent store absorbs a stream's timeless tuples, the data
 //! of one window is sprinkled across the whole store; walking full values
 //! to find the tuples of a window would cost O(stored data). The stream
-//! index is the fast path: per stream, a time-ordered sequence of
-//! [`IndexBatch`]es, each mapping the keys a batch appended to onto a
-//! [`FatPointer`] into the persistent value. A window lookup then touches
-//! only the batches inside the window — "the search space is extremely
+//! index is the fast path: each stream batch maps the keys it appended to
+//! onto [`FatPointer`]s into the persistent values, so a window lookup
+//! touches only the window's data — "the search space is extremely
 //! decreased and independent to the size of stored data".
+//!
+//! The index is key-major. Per (stream, origin node) it keeps one map
+//! from each key to that key's postings: `(batch timestamp, fat pointer)`
+//! pairs in time order. A window lookup is one probe plus a binary
+//! search, however many batches the window spans. Beside the postings, a
+//! small per-batch record (the batch timestamp and the keys it touched,
+//! in arrival order) serves the uses that walk batches rather than keys:
+//! GC retires whole batches from the old side, catch-up replay inserts a
+//! batch at its time-ordered position, and index-vertex scans enumerate
+//! the keys of in-window batches. The record's key count is also what
+//! locality-aware replication charges per batch.
 //!
 //! Fat pointers here are `(logical offset, length)` pairs rather than raw
 //! addresses (the paper uses a 96-bit address+size pointer): the
@@ -15,8 +25,10 @@
 //! even across snapshot consolidation, which gives the same O(1) range
 //! access without unsafe memory.
 
-use std::collections::{HashMap, VecDeque};
-use wukong_rdf::{Key, Timestamp, Vid};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
+use std::mem::size_of;
+use wukong_rdf::{Key, KeyMap, Timestamp, Vid};
 
 use crate::base::{AppendReceipt, BaseStore};
 
@@ -29,79 +41,180 @@ pub struct FatPointer {
     pub len: u32,
 }
 
-/// The stream-index entries of one stream batch.
+/// The stream-index entries of one stream batch, as built from the
+/// injector's receipts and as replicated to subscriber nodes (§4.2).
 #[derive(Debug, Clone, Default)]
 pub struct IndexBatch {
     /// Batch timestamp.
     pub timestamp: Timestamp,
-    entries: HashMap<Key, FatPointer>,
+    /// Keys in first-append order; `pointers[i]` belongs to `keys[i]`.
+    keys: Vec<Key>,
+    pointers: Vec<FatPointer>,
 }
 
 impl IndexBatch {
+    /// Bytes one entry costs on the wire when a batch is replicated: the
+    /// key, its fat pointer and 16 bytes of framing.
+    pub const ENTRY_WIRE_BYTES: usize = size_of::<Key>() + size_of::<FatPointer>() + 16;
+
     /// Builds an index batch from the injector's append receipts.
     ///
     /// Appends by one batch to one key are contiguous in that key's
     /// logical sequence (the key partition is single-writer), so receipts
     /// coalesce into one fat pointer per key.
     pub fn from_receipts(timestamp: Timestamp, receipts: &[AppendReceipt]) -> Self {
-        let mut entries: HashMap<Key, FatPointer> = HashMap::new();
+        let mut slot: KeyMap<usize> =
+            KeyMap::with_capacity_and_hasher(receipts.len(), Default::default());
+        let mut keys = Vec::with_capacity(receipts.len());
+        let mut pointers: Vec<FatPointer> = Vec::with_capacity(receipts.len());
         for r in receipts {
-            let e = entries.entry(r.key).or_insert(FatPointer {
-                start: r.offset,
-                len: 0,
-            });
-            // Receipts of one key may arrive out of order when multiple
-            // injector threads split a batch, but the offsets still form a
-            // contiguous range; track the minimum start and the count.
-            e.start = e.start.min(r.offset);
-            e.len += 1;
+            match slot.entry(r.key) {
+                Entry::Occupied(e) => {
+                    // Receipts of one key may arrive out of order when
+                    // multiple injector threads split a batch, but the
+                    // offsets still form a contiguous range; track the
+                    // minimum start and the count.
+                    let fp = &mut pointers[*e.get()];
+                    fp.start = fp.start.min(r.offset);
+                    fp.len += 1;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(keys.len());
+                    keys.push(r.key);
+                    pointers.push(FatPointer {
+                        start: r.offset,
+                        len: 1,
+                    });
+                }
+            }
         }
         if cfg!(debug_assertions) {
-            let mut spans: HashMap<Key, (u32, u32)> = HashMap::new();
+            // `len` distinct offsets, all at or above `start`: contiguous
+            // exactly when none lies at or past `start + len`.
             for r in receipts {
-                let s = spans.entry(r.key).or_insert((r.offset, r.offset));
-                s.0 = s.0.min(r.offset);
-                s.1 = s.1.max(r.offset);
-            }
-            for (k, (lo, hi)) in spans {
-                let e = entries[&k];
-                debug_assert_eq!(
-                    hi - lo + 1,
-                    e.len,
+                let fp = pointers[slot[&r.key]];
+                debug_assert!(
+                    r.offset < fp.start + fp.len,
                     "receipts for one key must form a contiguous range"
                 );
             }
         }
-        IndexBatch { timestamp, entries }
+        IndexBatch {
+            timestamp,
+            keys,
+            pointers,
+        }
     }
 
-    /// The fat pointer for `key`, if this batch appended to it.
+    /// The fat pointer for `key`, if this batch appended to it (a linear
+    /// search: window reads go through [`StreamIndex`]).
     pub fn get(&self, key: Key) -> Option<FatPointer> {
-        self.entries.get(&key).copied()
+        let i = self.keys.iter().position(|&k| k == key)?;
+        Some(self.pointers[i])
     }
 
-    /// Visits every key this batch appended to.
+    /// Visits every key this batch appended to, in first-append order.
     pub fn for_each_key(&self, mut f: impl FnMut(Key)) {
-        for k in self.entries.keys() {
-            f(*k);
+        for &k in &self.keys {
+            f(k);
         }
     }
 
     /// Number of indexed keys.
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Approximate heap bytes of this batch's entries.
-    pub fn heap_bytes(&self) -> usize {
-        self.entries.len() * (std::mem::size_of::<Key>() + std::mem::size_of::<FatPointer>() + 16)
+        self.keys.len()
     }
 }
 
-/// The time-ordered stream index of one stream (on one node or replica).
+/// One posting: a batch timestamp and the fat pointer that batch added
+/// to a key.
+pub type Posting = (Timestamp, FatPointer);
+
+/// One key's postings in time order (equal timestamps in arrival order).
+///
+/// Most keys are touched by a single live batch, so one posting stays
+/// inline; a second spills the key to a vector.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(Posting),
+    Many(Vec<Posting>),
+}
+
+impl Postings {
+    /// Adds `p` at its time-ordered position, after any equal timestamp.
+    fn insert(&mut self, p: Posting) {
+        match self {
+            Postings::One(q) => {
+                let pair = if q.0 <= p.0 { [*q, p] } else { [p, *q] };
+                *self = Postings::Many(pair.to_vec());
+            }
+            Postings::Many(v) => {
+                let at = v.partition_point(|q| q.0 <= p.0);
+                v.insert(at, p);
+            }
+        }
+    }
+
+    /// The newest posting.
+    fn newest_mut(&mut self) -> &mut Posting {
+        match self {
+            Postings::One(p) => p,
+            Postings::Many(v) => v.last_mut().expect("a key with no postings is removed"),
+        }
+    }
+
+    /// Drops every posting older than `expiry`; returns whether any are
+    /// left. A key back to one posting moves it inline again.
+    fn retire_before(&mut self, expiry: Timestamp) -> bool {
+        match self {
+            Postings::One(p) => p.0 >= expiry,
+            Postings::Many(v) => {
+                let n = v.partition_point(|p| p.0 < expiry);
+                v.drain(..n);
+                let left = !v.is_empty();
+                if let [p] = v[..] {
+                    *self = Postings::One(p);
+                }
+                left
+            }
+        }
+    }
+
+    /// The postings with timestamps in `[lo, hi]`, oldest first.
+    fn window(&self, lo: Timestamp, hi: Timestamp) -> &[Posting] {
+        let all = match self {
+            Postings::One(p) => std::slice::from_ref(p),
+            Postings::Many(v) => v.as_slice(),
+        };
+        let from = all.partition_point(|p| p.0 < lo);
+        let to = all.partition_point(|p| p.0 <= hi);
+        &all[from..to.max(from)]
+    }
+
+    /// Heap bytes of a spilled vector (an inline posting has none).
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Postings::One(_) => 0,
+            Postings::Many(v) => v.capacity() * size_of::<Posting>(),
+        }
+    }
+}
+
+/// What the index keeps of one batch besides its postings.
+#[derive(Debug)]
+struct BatchRecord {
+    timestamp: Timestamp,
+    /// Keys the batch added a posting to, in arrival order.
+    keys: Vec<Key>,
+}
+
+/// The key-major stream index of one stream (on one node or replica).
 #[derive(Debug, Default)]
 pub struct StreamIndex {
-    batches: VecDeque<IndexBatch>,
+    postings: KeyMap<Postings>,
+    /// Per-batch records in time order (equal timestamps in arrival
+    /// order) — the same order every key's postings keep.
+    batches: VecDeque<BatchRecord>,
     retired: u64,
 }
 
@@ -114,45 +227,132 @@ impl StreamIndex {
     /// Appends a batch at the new side.
     pub fn push_batch(&mut self, batch: IndexBatch) {
         debug_assert!(
-            self.batches
-                .back()
-                .map(|b| b.timestamp <= batch.timestamp)
-                .unwrap_or(true),
+            self.newest().is_none_or(|ts| ts <= batch.timestamp),
             "index batches must arrive in time order"
         );
-        self.batches.push_back(batch);
+        self.install(batch);
     }
 
     /// Inserts a batch at its time-ordered position (batches with equal
     /// timestamps keep arrival order). The normal ingest path appends via
     /// [`StreamIndex::push_batch`]; this is the catch-up replay path,
     /// which re-inserts shed tuples at their *original* timestamps after
-    /// newer batches have already been appended. The deque stays sorted,
-    /// so the `partition_point` window scans remain correct.
+    /// newer batches have already been appended. Postings and records
+    /// both stay sorted, so window scans remain binary searches.
     pub fn insert_batch(&mut self, batch: IndexBatch) {
-        let pos = self
-            .batches
-            .partition_point(|b| b.timestamp <= batch.timestamp);
-        if pos == self.batches.len() {
-            self.batches.push_back(batch);
+        self.install(batch);
+    }
+
+    fn install(&mut self, batch: IndexBatch) {
+        let IndexBatch {
+            timestamp,
+            keys,
+            pointers,
+        } = batch;
+        for (&key, &fp) in keys.iter().zip(&pointers) {
+            match self.postings.entry(key) {
+                Entry::Occupied(mut e) => e.get_mut().insert((timestamp, fp)),
+                Entry::Vacant(e) => {
+                    e.insert(Postings::One((timestamp, fp)));
+                }
+            }
+        }
+        let record = BatchRecord { timestamp, keys };
+        if self.newest().is_none_or(|ts| ts <= timestamp) {
+            self.batches.push_back(record);
         } else {
-            self.batches.insert(pos, batch);
+            let at = self.batches.partition_point(|b| b.timestamp <= timestamp);
+            self.batches.insert(at, record);
         }
     }
 
-    /// Retires every batch older than `expiry` (exclusive), mirroring the
-    /// transient store's GC. Returns the number retired.
-    pub fn retire_expired(&mut self, expiry: Timestamp) -> usize {
-        let mut n = 0;
-        while let Some(front) = self.batches.front() {
-            if front.timestamp >= expiry {
-                break;
-            }
-            self.batches.pop_front();
-            self.retired += 1;
-            n += 1;
+    /// Appends a batch at the new side straight from the injector's
+    /// append receipts, coalescing each key's receipts into its newest
+    /// posting — the engine's ingest path, which builds no
+    /// [`IndexBatch`]. Returns the batch's entry count (distinct keys).
+    pub fn push_receipts(&mut self, timestamp: Timestamp, receipts: &[AppendReceipt]) -> usize {
+        debug_assert!(
+            self.newest().is_none_or(|ts| ts <= timestamp),
+            "index batches must arrive in time order"
+        );
+        if self.newest() == Some(timestamp) {
+            // A key's newest posting at this timestamp may belong to the
+            // earlier batch: coalesce this one on its own.
+            let batch = IndexBatch::from_receipts(timestamp, receipts);
+            let n = batch.entry_count();
+            self.install(batch);
+            return n;
         }
+        // No posting is newer than `timestamp`, and any at it is this
+        // batch's own.
+        let mut keys = Vec::with_capacity(receipts.len());
+        for r in receipts {
+            let fresh = (
+                timestamp,
+                FatPointer {
+                    start: r.offset,
+                    len: 1,
+                },
+            );
+            match self.postings.entry(r.key) {
+                Entry::Occupied(e) => {
+                    let postings = e.into_mut();
+                    let newest = postings.newest_mut();
+                    if newest.0 == timestamp {
+                        newest.1.start = newest.1.start.min(r.offset);
+                        newest.1.len += 1;
+                    } else {
+                        postings.insert(fresh);
+                        keys.push(r.key);
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(Postings::One(fresh));
+                    keys.push(r.key);
+                }
+            }
+        }
+        let n = keys.len();
+        self.batches.push_back(BatchRecord { timestamp, keys });
         n
+    }
+
+    fn newest(&self) -> Option<Timestamp> {
+        self.batches.back().map(|b| b.timestamp)
+    }
+
+    /// Retires every batch older than `expiry` (exclusive), mirroring the
+    /// transient store's GC, and drops its postings. Returns the number
+    /// retired.
+    pub fn retire_expired(&mut self, expiry: Timestamp) -> usize {
+        let n = self.batches.partition_point(|b| b.timestamp < expiry);
+        for record in self.batches.drain(..n) {
+            // The postings older than `expiry` are exactly those of the
+            // retired records; a key listed twice is dropped at its first
+            // visit.
+            for key in record.keys {
+                if let Entry::Occupied(mut e) = self.postings.entry(key) {
+                    if !e.get_mut().retire_before(expiry) {
+                        e.remove();
+                    }
+                }
+            }
+        }
+        self.retired += n as u64;
+        n
+    }
+
+    /// `key`'s postings for batches in `[lo, hi]`, in time order: one
+    /// probe plus a binary search, however many batches the window spans.
+    ///
+    /// This is also the delta-scan primitive of the incremental execution
+    /// mode: a firing over a window that overlaps its predecessor asks
+    /// only for the inserted suffix `(prev_end, new_end]` and the
+    /// expired prefix `[prev_start, new_start)`, and tags every binding
+    /// row with the timestamps of its contributing edges so expired rows
+    /// can later be retracted without a rescan.
+    pub fn postings_in(&self, key: Key, lo: Timestamp, hi: Timestamp) -> &[Posting] {
+        self.postings.get(&key).map_or(&[], |p| p.window(lo, hi))
     }
 
     /// Collects `key`'s neighbours appended by batches in `[lo, hi]`,
@@ -165,8 +365,8 @@ impl StreamIndex {
         hi: Timestamp,
         out: &mut Vec<Vid>,
     ) {
-        self.for_each_pointer_in(key, lo, hi, |fp| {
-            store.read_range(key, fp.start, fp.len, out);
+        store.read_postings(key, self.postings_in(key, lo, hi), |_, s| {
+            out.extend_from_slice(s)
         });
     }
 
@@ -181,15 +381,8 @@ impl StreamIndex {
         self.for_each_pointer_timed_in(key, lo, hi, |_, fp| f(fp));
     }
 
-    /// Visits the fat pointers of `key` for batches in `[lo, hi]`,
-    /// handing each pointer's batch timestamp to the callback.
-    ///
-    /// This is the delta-scan primitive of the incremental execution
-    /// mode: a firing over a window that overlaps its predecessor asks
-    /// only for the inserted suffix `(prev_end, new_end]` and the
-    /// expired prefix `[prev_start, new_start)`, and tags every binding
-    /// row with the timestamps of its contributing edges so expired rows
-    /// can later be retracted without a rescan.
+    /// Visits the fat pointers of `key` for batches in `[lo, hi]` in time
+    /// order, handing each pointer's batch timestamp to the callback.
     pub fn for_each_pointer_timed_in(
         &self,
         key: Key,
@@ -197,14 +390,8 @@ impl StreamIndex {
         hi: Timestamp,
         mut f: impl FnMut(Timestamp, FatPointer),
     ) {
-        let start = self.batches.partition_point(|b| b.timestamp < lo);
-        for b in self.batches.iter().skip(start) {
-            if b.timestamp > hi {
-                break;
-            }
-            if let Some(fp) = b.get(key) {
-                f(b.timestamp, fp);
-            }
+        for &(ts, fp) in self.postings_in(key, lo, hi) {
+            f(ts, fp);
         }
     }
 
@@ -218,19 +405,17 @@ impl StreamIndex {
         hi: Timestamp,
         out: &mut Vec<(Vid, Timestamp)>,
     ) {
-        let mut tmp = Vec::new();
-        self.for_each_pointer_timed_in(key, lo, hi, |ts, fp| {
-            tmp.clear();
-            store.read_range(key, fp.start, fp.len, &mut tmp);
-            out.extend(tmp.iter().map(|&v| (v, ts)));
+        store.read_postings(key, self.postings_in(key, lo, hi), |ts, s| {
+            out.extend(s.iter().map(|&v| (v, ts)))
         });
     }
 
     /// Total neighbours `key` gained in `[lo, hi]` (for planner costs).
     pub fn count_in(&self, key: Key, lo: Timestamp, hi: Timestamp) -> usize {
-        let mut n = 0;
-        self.for_each_pointer_in(key, lo, hi, |fp| n += fp.len as usize);
-        n
+        self.postings_in(key, lo, hi)
+            .iter()
+            .map(|(_, fp)| fp.len as usize)
+            .sum()
     }
 
     /// Collects the vertices that gained a `pid` edge in direction `dir`
@@ -251,15 +436,15 @@ impl StreamIndex {
         out: &mut Vec<Vid>,
     ) {
         let start = self.batches.partition_point(|b| b.timestamp < lo);
-        for b in self.batches.iter().skip(start) {
+        for b in self.batches.range(start..) {
             if b.timestamp > hi {
                 break;
             }
-            b.for_each_key(|k| {
+            for k in &b.keys {
                 if !k.is_index() && k.pid() == pid && k.dir() == dir {
                     out.push(k.vid());
                 }
-            });
+            }
         }
     }
 
@@ -273,9 +458,23 @@ impl StreamIndex {
         self.retired
     }
 
-    /// Approximate heap bytes of the whole index.
+    /// Approximate heap bytes of the index as laid out: the key →
+    /// postings table (one `(Key, Postings)` slot plus one control byte
+    /// per bucket; a table's capacity is 7/8 of its buckets), the vectors
+    /// of keys with more than one posting, and the per-batch records
+    /// with their key lists. Only fat pointers are counted because only
+    /// fat pointers are stored: the data stays in the persistent store.
     pub fn heap_bytes(&self) -> usize {
-        self.batches.iter().map(IndexBatch::heap_bytes).sum()
+        let slot = size_of::<(Key, Postings)>() + 1;
+        let table = self.postings.capacity() * 8 / 7 * slot;
+        let spilled: usize = self.postings.values().map(Postings::heap_bytes).sum();
+        let records = self.batches.capacity() * size_of::<BatchRecord>()
+            + self
+                .batches
+                .iter()
+                .map(|b| b.keys.capacity() * size_of::<Key>())
+                .sum::<usize>();
+        table + spilled + records
     }
 }
 

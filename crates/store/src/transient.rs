@@ -8,8 +8,8 @@
 //! slice carries a small per-batch adjacency index so window lookups are
 //! key-addressed rather than scans.
 
-use std::collections::{HashMap, VecDeque};
-use wukong_rdf::{Key, StreamTuple, Timestamp, Vid};
+use std::collections::VecDeque;
+use wukong_rdf::{Key, KeyMap, StreamTuple, Timestamp, Vid};
 
 /// The timing data of one stream batch.
 #[derive(Debug, Clone, Default)]
@@ -17,7 +17,7 @@ pub struct TransientSlice {
     /// Batch timestamp (the Adaptor groups tuples by timestamp, §3).
     pub timestamp: Timestamp,
     /// Per-batch adjacency: key → neighbours, both edge directions.
-    adj: HashMap<Key, Vec<Vid>>,
+    adj: KeyMap<Vec<Vid>>,
     tuples: usize,
 }
 
@@ -40,7 +40,7 @@ impl TransientSlice {
         tuples: &[StreamTuple],
         owns: impl Fn(Key) -> bool,
     ) -> Self {
-        let mut adj: HashMap<Key, Vec<Vid>> = HashMap::new();
+        let mut adj: KeyMap<Vec<Vid>> = KeyMap::default();
         // Per-slice dedup of index entries, independent of which data
         // keys this node owns.
         let mut seen: std::collections::HashSet<Key> = std::collections::HashSet::new();
@@ -225,6 +225,14 @@ impl TransientStore {
     pub fn used_bytes(&self) -> usize {
         self.used_bytes
     }
+
+    /// Whether any live slice holds an adjacency entry. When none does,
+    /// every window read comes back empty, so readers skip the ring — a
+    /// stream without timing predicates stays that way for good.
+    pub fn has_entries(&self) -> bool {
+        // Every entry charges its slot to `used_bytes`.
+        self.used_bytes > 0
+    }
 }
 
 #[cfg(test)]
@@ -347,6 +355,18 @@ mod tests {
         // GC sweeps replayed slices like any other.
         assert_eq!(st.collect_expired(250), 2);
         assert_eq!(st.neighbors_in(key, 0, 999), vec![Vid(300)]);
+    }
+
+    #[test]
+    fn has_entries_tracks_live_timing_data() {
+        let mut st = TransientStore::new(1 << 20);
+        // A timeless-only stream pushes an empty slice every batch.
+        st.push_batch(TransientSlice::from_batch(100, &[]));
+        assert!(!st.has_entries());
+        st.push_batch(TransientSlice::from_batch(200, &[timing(1, 2, 3, 200)]));
+        assert!(st.has_entries());
+        st.collect_expired(250);
+        assert!(!st.has_entries(), "the last timing slice aged out");
     }
 
     #[test]

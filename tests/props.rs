@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 use wukong_core::checkpoint::{Checkpoint, LoggedBatch, LoggedQuery};
 use wukong_rdf::{Dir, Key, Pid, StreamTuple, Triple, Vid};
+use wukong_store::base::AppendReceipt;
 use wukong_store::{
-    BaseStore, IndexBatch, SnapshotId, StreamIndex, TransientSlice, TransientStore,
+    BaseStore, FatPointer, IndexBatch, SnapshotId, StreamIndex, TransientSlice, TransientStore,
 };
 use wukong_stream::{SnVtsPlanner, StalenessBound, Vts};
 
@@ -22,6 +23,75 @@ fn regression_file_resolves_and_parses() {
         .expect("tests/props.proptest-regressions must be discoverable");
     let seeds = proptest::parse_regressions(&std::fs::read_to_string(path).unwrap());
     assert!(!seeds.is_empty(), "smoke seed must parse");
+}
+
+/// 36 keys: vertices 0 (the index vertex) to 5, predicates 1 to 3, both
+/// directions — few enough that batches keep touching the same keys.
+fn small_key(i: u8) -> Key {
+    let i = u64::from(i % 36);
+    let dir = if i % 2 == 0 { Dir::In } else { Dir::Out };
+    Key::new(Vid(i / 6), Pid(i / 2 % 3 + 1), dir)
+}
+
+/// The stream index as it was first written: a time-ordered list of
+/// batches, each a coalesced key → pointer table, scanned batch by batch.
+#[derive(Default)]
+struct NaiveIndex {
+    batches: Vec<(u64, Vec<(Key, FatPointer)>)>,
+    retired: u64,
+}
+
+impl NaiveIndex {
+    fn insert(&mut self, ts: u64, receipts: &[AppendReceipt]) {
+        let mut entries: Vec<(Key, FatPointer)> = Vec::new();
+        for r in receipts {
+            match entries.iter_mut().find(|(k, _)| *k == r.key) {
+                Some((_, fp)) => {
+                    fp.start = fp.start.min(r.offset);
+                    fp.len += 1;
+                }
+                None => entries.push((
+                    r.key,
+                    FatPointer {
+                        start: r.offset,
+                        len: 1,
+                    },
+                )),
+            }
+        }
+        let at = self.batches.partition_point(|(t, _)| *t <= ts);
+        self.batches.insert(at, (ts, entries));
+    }
+
+    fn retire(&mut self, expiry: u64) -> usize {
+        let n = self.batches.partition_point(|(t, _)| *t < expiry);
+        self.batches.drain(..n);
+        self.retired += n as u64;
+        n
+    }
+
+    fn in_window(&self, lo: u64, hi: u64) -> impl Iterator<Item = &(u64, Vec<(Key, FatPointer)>)> {
+        self.batches
+            .iter()
+            .filter(move |(t, _)| lo <= *t && *t <= hi)
+    }
+
+    fn pointers(&self, key: Key, lo: u64, hi: u64) -> Vec<(u64, FatPointer)> {
+        self.in_window(lo, hi)
+            .flat_map(|(t, e)| e.iter().filter(|(k, _)| *k == key).map(|(_, fp)| (*t, *fp)))
+            .collect()
+    }
+
+    fn vertices(&self, pid: Pid, dir: Dir, lo: u64, hi: u64) -> Vec<Vid> {
+        let mut v: Vec<Vid> = self
+            .in_window(lo, hi)
+            .flat_map(|(_, e)| e.iter().map(|(k, _)| *k))
+            .filter(|k| !k.is_index() && k.pid() == pid && k.dir() == dir)
+            .map(|k| k.vid())
+            .collect();
+        v.sort();
+        v
+    }
 }
 
 proptest! {
@@ -173,6 +243,78 @@ proptest! {
             got.sort();
             expect.sort();
             prop_assert_eq!(got, expect);
+        }
+    }
+
+    /// The key-major stream index answers every window exactly like a
+    /// naive per-batch index, under any mix of in-order pushes (through
+    /// both install paths, equal timestamps included), out-of-order
+    /// catch-up inserts and GC.
+    #[test]
+    fn key_major_index_matches_per_batch_model(
+        ops in proptest::collection::vec(
+            (0..4u8, 0..4u64, 0..60u64, proptest::collection::vec(0..36u8, 0..10)),
+            1..40,
+        ),
+        windows in proptest::collection::vec((0..70u64, 0..30u64), 1..6),
+    ) {
+        let mut index = StreamIndex::new();
+        let mut model = NaiveIndex::default();
+        let mut next_offset = std::collections::HashMap::<Key, u32>::new();
+        let mut newest = 0u64;
+        for (kind, step, at, picks) in ops {
+            // Receipts of one batch: each pick appends one neighbour to
+            // its key, so one key's offsets within a batch are contiguous.
+            let receipts: Vec<AppendReceipt> = picks
+                .iter()
+                .map(|&i| {
+                    let key = small_key(i);
+                    let off = next_offset.entry(key).or_insert(0);
+                    *off += 1;
+                    AppendReceipt { key, offset: *off - 1 }
+                })
+                .collect();
+            match kind {
+                0 | 1 => {
+                    newest += step;
+                    model.insert(newest, &receipts);
+                    if kind == 0 {
+                        index.push_batch(IndexBatch::from_receipts(newest, &receipts));
+                    } else {
+                        let entries = index.push_receipts(newest, &receipts);
+                        prop_assert_eq!(entries, model.batches.last().unwrap().1.len());
+                    }
+                }
+                2 => {
+                    let ts = at.min(newest);
+                    model.insert(ts, &receipts);
+                    index.insert_batch(IndexBatch::from_receipts(ts, &receipts));
+                }
+                _ => {
+                    prop_assert_eq!(index.retire_expired(at), model.retire(at));
+                }
+            }
+            prop_assert_eq!(index.batch_count(), model.batches.len());
+            prop_assert_eq!(index.retired(), model.retired);
+        }
+        for (lo, span) in windows {
+            let hi = lo + span;
+            for i in 0..36 {
+                let key = small_key(i);
+                let mut got = Vec::new();
+                index.for_each_pointer_timed_in(key, lo, hi, |ts, fp| got.push((ts, fp)));
+                let expect = model.pointers(key, lo, hi);
+                prop_assert_eq!(index.count_in(key, lo, hi), expect.iter().map(|(_, fp)| fp.len as usize).sum::<usize>());
+                prop_assert_eq!(got, expect, "{:?} in [{}, {}]", key, lo, hi);
+            }
+            for pid in 1..=3 {
+                for dir in [Dir::In, Dir::Out] {
+                    let mut got = Vec::new();
+                    index.vertices_in(Pid(pid), dir, lo, hi, &mut got);
+                    got.sort();
+                    prop_assert_eq!(got, model.vertices(Pid(pid), dir, lo, hi));
+                }
+            }
         }
     }
 
